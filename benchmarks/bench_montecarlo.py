@@ -6,9 +6,9 @@ largest ISCAS85 surrogate and records them in ``BENCH_montecarlo.json``:
 * **cold levelized vs object-level on c7552** — the Table-I accuracy
   reference (:func:`simulate_io_delays`) computes every input's
   per-sample longest paths.  The levelized engine folds all ``|I| = 207``
-  propagations of a chunk in one ``(V, I, chunk)`` pass over the shared
-  sampled delay matrix; the object-level reference runs one per-vertex
-  Python propagation per input per chunk.  The engines must produce
+  propagations of a chunk in one pass over the shared sampled delay
+  matrix (in budget-sized sample slices); the object-level reference
+  runs one per-vertex Python propagation per input per chunk.  The engines must produce
   bit-identical statistics for the same seed, and the levelized pass must
   be at least 5x faster (``REPRO_MC_SPEEDUP_MIN`` overrides the
   threshold; ~25x locally).

@@ -298,7 +298,8 @@ def mc_longest_paths_kernel(
 
     ``arrivals`` is ``(V, I, S)`` pre-seeded (``-inf`` everywhere, ``0.0``
     at each source's own source row; the single-source wrapper passes a
-    ``(V, 1, S)`` view); ``delays`` is ``(E, S)`` indexed by global edge
+    ``(V, 1, S)`` view, the multi-source fold one C-contiguous sample
+    slice at a time); ``delays`` is ``(E, S)`` indexed by global edge
     row.  ``+``/``max`` are exact, so the result is bitwise identical to
     the numpy engines for any fold order or chunking.
     """

@@ -25,8 +25,9 @@ object split of :mod:`repro.timing.propagation`:
   ``np.maximum.reduceat`` — no per-vertex Python work at all.  The same
   kernel generalises to a third *source* axis, so
   :func:`simulate_io_delays` computes the per-input longest paths of all
-  ``|I|`` inputs in a single ``(V, I, chunk)`` pass over one shared
-  sampled delay matrix instead of ``|I|`` full propagations per chunk;
+  ``|I|`` inputs in one pass over one shared sampled delay matrix instead
+  of ``|I|`` full propagations per chunk, folding it in budget-sized
+  sample-column slices over a reused ``(V, I, width)`` state;
 * the **object-level engine** (``engine="object"``) is the original
   per-vertex loop over ``fanin_edges``, kept as the readable reference
   and as the parity baseline (both engines produce bit-identical samples
@@ -79,11 +80,16 @@ _NEG_INF = -np.inf
 #: and criticality engines, scaled to the Monte Carlo kernels' costs).
 AUTO_LEVELIZED_MIN_EDGES = AUTO_BATCH_MIN_EDGES // 16
 
-#: Working-set budget (in float64 elements) of one auto-sized sample chunk:
-#: the sampled delay block ``(E, chunk)`` plus, per source, the arrival
-#: block ``(V, chunk)`` and the transient per-level candidate block.
-#: 4M floats (32 MiB) keeps the chunk working set last-level-cache
-#: resident on typical hardware — the levelized kernel's sweet spot
+#: Working-set budget (in float64 elements) of the Monte Carlo kernels.
+#: It sets two sizes.  The *sampling chunk* (:func:`auto_chunk_size`) is
+#: the number of samples drawn as one ``(E, chunk)`` delay block; it never
+#: drops below one whole :data:`MC_SAMPLE_BLOCK`, so on wide multi-source
+#: graphs the block alone may exceed the budget.  The *fold width* of the
+#: multi-source kernel (:func:`_fold_width`) is the number of sample
+#: columns folded at once; its ``(V, I, width)`` arrival state plus the
+#: ``(max_level_rows, I, width)`` candidate and accumulator blocks always
+#: fit the budget (one column is the floor).  4M floats (32 MiB) keeps
+#: that working set last-level-cache resident on typical hardware
 #: (measured on c7552: ~40 us/sample at chunk 256 vs ~56 us at 1024).
 #: Overridable per run via the ``REPRO_MC_CHUNK_BUDGET`` environment
 #: variable (see :func:`mc_chunk_budget`).
@@ -138,13 +144,18 @@ def auto_chunk_size(
     num_sources: int = 1,
     num_samples: Optional[int] = None,
 ) -> int:
-    """Sample-chunk size keeping the per-chunk working set memory-bounded.
+    """Sampling-chunk size: how many samples one delay block draws.
 
-    Sizes the chunk so that ``delays (E, chunk)`` plus the per-source
-    arrival and candidate blocks (``(V, chunk)`` and ``~(E, chunk)`` each,
-    times ``num_sources`` for the multi-source kernel) stay within the
-    active budget (:func:`mc_chunk_budget`), clipped to
-    ``[MC_MIN_CHUNK, MC_MAX_CHUNK]`` and to ``num_samples``.
+    Sizes the chunk so that ``delays (E, chunk)`` plus ``num_sources``
+    arrival and candidate blocks (``(V, chunk)`` and ``~(E, chunk)`` each)
+    would stay within the active budget (:func:`mc_chunk_budget`), clipped
+    to ``[MC_MIN_CHUNK, MC_MAX_CHUNK]`` and to ``num_samples``.  That
+    models the single-source kernel, whose arrival state is
+    ``(V, chunk)``.  The multi-source kernel of :func:`simulate_io_delays`
+    folds each chunk in narrower sample-column slices sized by the same
+    budget (:func:`_fold_width`), so its arrival state never scales with
+    the chunk; there the rule only sets how many samples are drawn at a
+    time.
 
     The chunk is **block-aligned**: the counter-based sampler always
     materialises whole :data:`MC_SAMPLE_BLOCK`-sample blocks and slices the
@@ -439,21 +450,17 @@ def _forward_schedule(arrays: GraphArrays) -> _ForwardSchedule:
     return schedule
 
 
-def _fold_level_rounds(arrivals, permuted_delays, rounds, multi: bool):
+def _fold_level_rounds(arrivals, permuted_delays, rounds):
     """Fold one level's rounds into a fresh accumulator block.
 
     Round 0 covers every vertex of the level, so the accumulator is fully
     initialised before its first read; later rounds max into the prefix
-    ``[:count]``.  ``multi`` adds the delay slice across the source axis.
+    ``[:count]``.
     """
     acc = None
     for source_rows, offset, count in rounds:
         candidates = arrivals[source_rows]
-        delay_block = permuted_delays[offset : offset + count]
-        if multi:
-            candidates += delay_block[:, np.newaxis, :]
-        else:
-            candidates += delay_block
+        candidates += permuted_delays[offset : offset + count]
         if acc is None:
             acc = candidates
         else:
@@ -499,7 +506,7 @@ def _longest_paths_levelized(
     permuted_delays = delays[schedule.perm]
 
     for rows, rounds in schedule.levels:
-        acc = _fold_level_rounds(arrivals, permuted_delays, rounds, multi=False)
+        acc = _fold_level_rounds(arrivals, permuted_delays, rounds)
         seeded = is_source[rows]
         if seeded.any():
             # An input vertex with fanin keeps its 0.0 seed in the fold.
@@ -508,53 +515,143 @@ def _longest_paths_levelized(
     return arrivals
 
 
+def _max_level_rows(arrays: GraphArrays) -> int:
+    """Vertex rows of the widest forward level."""
+    return max(
+        (level.vertex_rows.shape[0] for level in arrays.forward_levels()),
+        default=0,
+    )
+
+
+def _fold_width(arrays: GraphArrays, num_sources: int, chunk: int) -> int:
+    """Sample columns per multi-source fold slice, sized by the budget.
+
+    One slice holds the ``(V, I, w)`` arrival state plus the
+    ``(max_level_rows, I, w)`` candidate and accumulator blocks, so ``w``
+    is the budget (:func:`mc_chunk_budget`) over their per-column floats,
+    clipped to ``[1, chunk]``.
+    """
+    per_column = (arrays.num_vertices + 2 * _max_level_rows(arrays)) * num_sources
+    return int(min(max(mc_chunk_budget() // per_column, 1), chunk))
+
+
+def _fold_slice(state, delays, levels, seeded_levels, cand_buffer, acc_buffer):
+    """Fold one ``(V, I, w)`` sample slice level by level, in place.
+
+    ``delays`` is the slice's ``(E, w)`` delay block in fold order
+    (``_ForwardSchedule.perm``); ``seeded_levels[k]`` is ``None`` or the
+    ``(positions, rows)`` of level ``k``'s input vertices.  Each round
+    gathers into a reused buffer view; round 0 covers every row of the
+    level, so it initialises the accumulator.
+    """
+    row_floats = state.shape[1] * state.shape[2]
+    for (rows, rounds), seeded in zip(levels, seeded_levels):
+        acc = acc_buffer[: rows.shape[0] * row_floats].reshape(
+            (rows.shape[0],) + state.shape[1:]
+        )
+        for round_index, (source_rows, offset, count) in enumerate(rounds):
+            candidates = acc
+            if round_index:
+                candidates = cand_buffer[: count * row_floats].reshape(
+                    (count,) + state.shape[1:]
+                )
+            np.take(state, source_rows, axis=0, out=candidates, mode="clip")
+            candidates += delays[offset : offset + count, np.newaxis]
+            if round_index:
+                np.maximum(acc[:count], candidates, out=acc[:count])
+        if seeded is not None:
+            # An input vertex with fanin keeps its 0.0 seed in the fold.
+            positions, seed_rows = seeded
+            acc[positions] = np.maximum(acc[positions], state[seed_rows])
+        state[rows] = acc
+
+
 def _longest_paths_multi_source(
     arrays: GraphArrays,
     delays: np.ndarray,
     source_rows: np.ndarray,
+    sink_rows: np.ndarray,
+    width: int,
     backend: Optional[str] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """All per-source longest paths in one pass; returns ``(V, I, S)``.
+    """All per-source longest paths to ``sink_rows``; returns ``(I, K, S)``.
 
-    ``arrivals[:, k, :]`` is exactly the matrix the single-source kernel
-    produces for ``source_rows[k]`` alone — the third axis shares every
-    gather of the sampled delay matrix across all ``|I|`` propagations, so
-    the cost of the per-input Table-I reference drops from ``|I|`` full
-    passes per chunk to one.  The compiled backend runs the same fold as
-    one fused nopython sweep (bitwise identical).
+    ``out[k, j, :]`` is exactly the ``sink_rows[j]`` row of the matrix
+    the single-source kernel produces for ``source_rows[k]`` alone.  The
+    source axis shares every gather of the sampled delay matrix across all
+    ``|I|`` propagations, so the per-input Table-I reference costs one pass
+    per chunk instead of ``|I|``.
+
+    The ``(E, S)`` delay block is folded in sample-column slices of
+    ``width`` columns over buffers allocated once per call: the
+    ``(V, I, width)`` arrival state, the slice's ``(E, width)`` delays and,
+    on the numpy tier, the ``(max_level_rows, I, width)`` candidate and
+    accumulator blocks.  Only the sink rows of each slice are kept, so the
+    working set is bounded by ``width`` instead of ``S`` (see
+    :func:`_fold_width`).  Every slice's fold overwrites the level rows and
+    never writes rows without fanin, so the state is filled once per slice
+    width and only the source rows (which the fold may raise) are reseeded
+    per slice.  The compiled backend runs each slice as one fused nopython
+    sweep over C-contiguous buffers (bitwise identical: ``+`` and ``max``
+    are exact).
     """
+    num_vertices = arrays.num_vertices
     num_sources = source_rows.shape[0]
-    num_samples = delays.shape[1]
-    kernel = get_kernel("mc_longest_paths", backend)
-    if kernel.backend == "numba":
-        flat = flat_fold_schedule(arrays, "forward")
-        arrivals = np.full(
-            (arrays.num_vertices, num_sources, num_samples), _NEG_INF
-        )
-        arrivals[source_rows, np.arange(num_sources)] = 0.0
-        is_source = np.zeros(arrays.num_vertices, dtype=bool)
-        is_source[source_rows] = True
-        kernel.function(
-            flat.level_ptr, flat.vertices, flat.edge_ptr, flat.edge_rows,
-            arrays.edge_source, delays, arrivals, is_source,
-        )
-        return arrivals
-    schedule = _forward_schedule(arrays)
-    arrivals = np.full(
-        (arrays.num_vertices, num_sources, num_samples), _NEG_INF
-    )
-    arrivals[source_rows, np.arange(num_sources)] = 0.0
-    is_source = np.zeros(arrays.num_vertices, dtype=bool)
+    num_edges, num_samples = delays.shape
+    if out is None:
+        out = np.empty((num_sources, sink_rows.shape[0], num_samples))
+    width = max(1, min(int(width), num_samples))
+    source_columns = np.arange(num_sources)
+    is_source = np.zeros(num_vertices, dtype=bool)
     is_source[source_rows] = True
-    permuted_delays = delays[schedule.perm]
 
-    for rows, rounds in schedule.levels:
-        acc = _fold_level_rounds(arrivals, permuted_delays, rounds, multi=True)
-        seeded = is_source[rows]
-        if seeded.any():
-            acc[seeded] = np.maximum(acc[seeded], arrivals[rows[seeded]])
-        arrivals[rows] = acc
-    return arrivals
+    kernel = get_kernel("mc_longest_paths", backend)
+    compiled = kernel.backend == "numba"
+    if compiled:
+        flat = flat_fold_schedule(arrays, "forward")
+    else:
+        schedule = _forward_schedule(arrays)
+        seeded_levels = []
+        for rows, _rounds in schedule.levels:
+            positions = np.flatnonzero(is_source[rows])
+            seeded_levels.append(
+                (positions, rows[positions]) if positions.size else None
+            )
+        cand_buffer = np.empty(_max_level_rows(arrays) * num_sources * width)
+        acc_buffer = np.empty_like(cand_buffer)
+    state_buffer = np.empty(num_vertices * num_sources * width)
+    delay_buffer = np.empty(num_edges * width)
+
+    filled_cols = 0
+    for low in range(0, num_samples, width):
+        cols = min(width, num_samples - low)
+        state = state_buffer[: num_vertices * num_sources * cols].reshape(
+            num_vertices, num_sources, cols
+        )
+        if cols != filled_cols:
+            state.fill(_NEG_INF)
+            filled_cols = cols
+        state[source_rows] = _NEG_INF
+        state[source_rows, source_columns] = 0.0
+        delay_slice = delay_buffer[: num_edges * cols].reshape(num_edges, cols)
+        if compiled:
+            np.copyto(delay_slice, delays[:, low : low + cols])
+            kernel.function(
+                flat.level_ptr, flat.vertices, flat.edge_ptr, flat.edge_rows,
+                arrays.edge_source, delay_slice, state, is_source,
+            )
+        else:
+            np.take(
+                delays[:, low : low + cols], schedule.perm, axis=0,
+                out=delay_slice, mode="clip",
+            )
+            _fold_slice(
+                state, delay_slice, schedule.levels, seeded_levels,
+                cand_buffer, acc_buffer,
+            )
+        out[:, :, low : low + cols] = state[sink_rows].transpose(1, 0, 2)
+    return out
 
 
 def _reachable_from(arrays: GraphArrays, source_rows: np.ndarray) -> np.ndarray:
@@ -729,23 +826,37 @@ def _io_block_moments(
     chunk_size = max(
         MC_SAMPLE_BLOCK, chunk_size // MC_SAMPLE_BLOCK * MC_SAMPLE_BLOCK
     )
+    if levelized:
+        width = _fold_width(arrays, num_inputs, chunk_size)
+        block_buffer = np.empty(
+            num_inputs * num_outputs * min(chunk_size, stop - start)
+        )
     sums_parts = []
     square_parts = []
     done = start
     while done < stop:
         chunk = min(chunk_size, stop - done)
-        delays = _sample_delay_range(arrays, seed, num_samples, done, done + chunk)
         if levelized:
-            arrivals = _longest_paths_multi_source(
-                arrays, delays, input_rows, backend
+            # The sampled block is handed over without a local reference, so
+            # it is freed when the fold returns, before the next draw.
+            finite = _longest_paths_multi_source(
+                arrays,
+                _sample_delay_range(arrays, seed, num_samples, done, done + chunk),
+                input_rows,
+                output_rows,
+                width,
+                backend,
+                out=block_buffer[: num_inputs * num_outputs * chunk].reshape(
+                    num_inputs, num_outputs, chunk
+                ),
             )
-            output_arrivals = arrivals[output_rows].transpose(1, 0, 2)  # (I, O, chunk)
-            finite = np.where(np.isfinite(output_arrivals), output_arrivals, 0.0)
+            np.nan_to_num(finite, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
             for offset in range(0, chunk, MC_SAMPLE_BLOCK):
                 block = finite[:, :, offset : offset + MC_SAMPLE_BLOCK]
                 sums_parts.append(block.sum(axis=2))
                 square_parts.append((block * block).sum(axis=2))
         else:
+            delays = _sample_delay_range(arrays, seed, num_samples, done, done + chunk)
             blocks = range(0, chunk, MC_SAMPLE_BLOCK)
             chunk_sums = np.empty((len(blocks), num_inputs, num_outputs))
             chunk_squares = np.empty_like(chunk_sums)
@@ -784,17 +895,28 @@ def simulate_io_delays(
 
     This is the reference used for the ``merr``/``verr`` columns of Table I.
     The levelized engine computes all ``|I|`` per-input propagations of a
-    chunk in one ``(V, I, chunk)`` pass sharing a single sampled delay
-    matrix; the object-level reference (``engine="object"``) runs the
-    original one-propagation-per-input loop.  Sampling is counter-based per
-    block and moments accumulate per block in ascending order, so the
-    statistics are bit-identical across engines, chunk sizes and worker
+    chunk in one pass sharing a single sampled delay matrix; the
+    object-level reference (``engine="object"``) runs the original
+    one-propagation-per-input loop.  Sampling is counter-based per block
+    and moments accumulate per block in ascending order, so the statistics
+    are bit-identical across engines, chunk sizes, fold widths and worker
     counts for the same ``(seed, num_samples)``.  The ``valid`` mask is
     derived structurally from per-input reachability, so a pair is NaN
-    exactly when no path connects it.  ``chunk_size=None`` auto-sizes the
-    chunks accounting for the ``|I|``-wide source axis; ``workers`` /
-    ``executor`` shard block ranges exactly like
-    :func:`simulate_graph_delay`; so do prebuilt ``arrays``.
+    exactly when no path connects it.
+
+    Two sizes bound the memory.  The *sampling chunk* is the number of
+    samples drawn as one ``(E, chunk)`` delay block: an explicit
+    ``chunk_size`` sets it (rounded down to whole 128-sample blocks, at
+    least one) and ``None`` auto-sizes it (:func:`auto_chunk_size`).  The
+    *fold width* is the number of sample columns the levelized engine
+    folds at once; it is derived from the chunk budget
+    (:func:`mc_chunk_budget`) so that the ``(V, I, width)`` arrival state
+    and the per-level candidate and accumulator blocks fit it.  Beyond the
+    budget, a run holds the delay block and one ``(I, O, chunk)`` block of
+    output arrivals.
+    ``workers`` / ``executor`` shard block ranges exactly like
+    :func:`simulate_graph_delay`, and each worker folds within the same
+    bound; so do prebuilt ``arrays``.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")

@@ -199,9 +199,14 @@ class TestDispatchParity:
         )
         np.testing.assert_array_equal(compiled.samples, reference.samples)
 
+    # "2688" makes the compiled kernel fold 35 / 3 / 1-column sample slices
+    # on c17 / mult4 / c432 instead of whole blocks.
+    @pytest.mark.parametrize("budget", [None, "2688"])
     def test_monte_carlo_io_moments_are_bitwise(
-        self, identity_jit, parity_module
+        self, identity_jit, parity_module, monkeypatch, budget
     ):
+        if budget is not None:
+            monkeypatch.setenv("REPRO_MC_CHUNK_BUDGET", budget)
         graph, _ = parity_module
         compiled = simulate_io_delays(
             graph, num_samples=384, seed=5, engine="levelized", backend="numba"

@@ -5,9 +5,10 @@ longest-path candidates are folded — ``+`` and ``max`` are exact, so on
 *any* graph the levelized engines must produce **bit-identical** samples to
 the object-level reference for the same seed and chunk size.  Asserted
 here on hypothesis-randomized layered DAGs (including dangling inputs,
-unreachable vertices and single-IO corners), on the multi-source
-``(V, I, chunk)`` kernel against the one-propagation-per-input reference,
-and on the empty-IO / unreachable regressions.
+unreachable vertices and single-IO corners), on the multi-source kernel
+against the one-propagation-per-input reference at every fold width the
+budget can select (1, non-divisors of the 128-sample block, a whole
+block), and on the empty-IO / unreachable regressions.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.montecarlo.flat import (
     MC_MAX_CHUNK,
     MC_MIN_CHUNK,
     MC_SAMPLE_BLOCK,
+    _fold_width,
     _longest_paths_multi_source,
     _longest_paths_object,
     _resolve_engine,
@@ -35,13 +37,17 @@ from repro.timing.graph import TimingGraph
 NUM_LOCALS = 2
 
 
-def _build_graph(seed, num_inputs, num_outputs, num_internal):
+def _build_graph(seed, num_inputs, num_outputs, num_internal, irregular=False):
     """A random layered DAG with designated inputs/outputs.
 
     Every non-input vertex receives 1-3 fanin edges from topologically
     earlier non-output vertices, so each output is reachable while some
     inputs (and internal vertices) may dangle — which exercises the
     ``-inf`` masking and the structural validity masks of both engines.
+    ``irregular`` adds two undriven internal vertices to the fanin pool
+    and gives some inputs a fanin edge from the previous input, so inputs
+    must keep their 0.0 seed through the fold and unreachable drivers must
+    stay at ``-inf``.
     """
     rng = np.random.default_rng(seed)
     graph = TimingGraph("mc%d" % seed, NUM_LOCALS)
@@ -52,7 +58,10 @@ def _build_graph(seed, num_inputs, num_outputs, num_internal):
         graph.mark_input(name)
     for name in outputs:
         graph.mark_output(name)
-    sources = inputs + internal  # outputs stay pure sinks
+    undriven = ["u0", "u1"] if irregular else []
+    for name in undriven:
+        graph.add_vertex(name)
+    sources = inputs + undriven + internal  # outputs stay pure sinks
 
     def _delay():
         return CanonicalForm(
@@ -62,8 +71,12 @@ def _build_graph(seed, num_inputs, num_outputs, num_internal):
             float(rng.uniform(0.0, 1.5)),
         )
 
+    if irregular:
+        for position in range(1, num_inputs):
+            if rng.random() < 0.5:
+                graph.add_edge(inputs[position - 1], inputs[position], _delay())
     for position, name in enumerate(internal + outputs):
-        limit = num_inputs + min(position, num_internal)
+        limit = num_inputs + len(undriven) + min(position, num_internal)
         for _unused in range(int(rng.integers(1, 4))):
             graph.add_edge(sources[int(rng.integers(0, limit))], name, _delay())
     return graph
@@ -111,20 +124,66 @@ class TestRandomizedParity:
         reference = simulate_io_delays(graph, 40, seed=seed, engine="object")
         _assert_io_identical(levelized, reference)
 
-    @given(seed=st.integers(min_value=0, max_value=10 ** 6))
+    @given(
+        seed=st.integers(min_value=0, max_value=10 ** 6),
+        width=st.sampled_from([1, 3, 5, 23, 64]),
+        irregular=st.booleans(),
+    )
     @settings(max_examples=15, deadline=None)
-    def test_multi_source_kernel_matches_per_input_reference(self, seed):
-        graph = _build_graph(seed, 4, 3, 12)
+    def test_multi_source_kernel_matches_per_input_reference(
+        self, seed, width, irregular
+    ):
+        graph = _build_graph(seed, 4, 3, 12, irregular)
         arrays = GraphArrays.from_graph(graph)
         rng = np.random.default_rng(seed)
         delays = arrays.edge_batch.sample(rng, 23)
         input_rows = arrays.input_rows
-        multi = _longest_paths_multi_source(arrays, delays, input_rows)
+        all_rows = np.arange(arrays.num_vertices)
+        multi = _longest_paths_multi_source(
+            arrays, delays, input_rows, all_rows, width
+        )
         for position, row in enumerate(input_rows):
             reference = _longest_paths_object(
                 arrays, delays, np.asarray([row], dtype=np.int64)
             )
-            assert np.array_equal(multi[:, position, :], reference)
+            assert np.array_equal(multi[position], reference)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10 ** 6),
+        num_inputs=st.integers(min_value=1, max_value=5),
+        num_outputs=st.integers(min_value=1, max_value=4),
+        num_internal=st.integers(min_value=0, max_value=24),
+        width=st.sampled_from([1, 3, 5, MC_SAMPLE_BLOCK]),
+        num_samples=st.sampled_from([40, 200, 300]),
+        chunk=st.sampled_from([None, 1000]),
+        irregular=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_io_delays_bit_identical_across_fold_widths(
+        self, seed, num_inputs, num_outputs, num_internal, width, num_samples,
+        chunk, irregular,
+    ):
+        # The budget sets the fold width: ``width`` sample columns of the
+        # (V + 2 * max_level_rows, I) per-column state fit it exactly.
+        graph = _build_graph(
+            seed, num_inputs, num_outputs, num_internal, irregular
+        )
+        arrays = GraphArrays.from_graph(graph)
+        max_level_rows = max(
+            level.vertex_rows.shape[0] for level in arrays.forward_levels()
+        )
+        per_column = (arrays.num_vertices + 2 * max_level_rows) * num_inputs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_MC_CHUNK_BUDGET", str(width * per_column))
+            assert _fold_width(arrays, num_inputs, MC_SAMPLE_BLOCK) == width
+            levelized = simulate_io_delays(
+                graph, num_samples, seed=seed, chunk_size=chunk,
+                engine="levelized",
+            )
+        reference = simulate_io_delays(
+            graph, num_samples, seed=seed, chunk_size=chunk, engine="object"
+        )
+        _assert_io_identical(levelized, reference)
 
 
 class TestAcceptanceCircuits:

@@ -1,0 +1,97 @@
+"""Memory contract of the multi-source Monte Carlo kernel.
+
+``simulate_io_delays`` folds each sampled ``(E, chunk)`` block in
+sample-column slices whose ``(V, I, w)`` arrival state and per-level
+candidate/accumulator blocks fit the chunk budget
+(:func:`~repro.montecarlo.flat.mc_chunk_budget`).  Beyond that budget a
+run holds only the sampled delay block and the ``(I, O, chunk)`` block of
+output arrivals, so its traced peak is bounded by
+
+    budget + (E, chunk) + (I, O, chunk) + slack
+
+where the slack covers one more ``(E, chunk)`` copy (the sampler
+concatenates a multi-block chunk from its per-block draws) plus 2 MiB of
+small per-block temporaries.  ``tracemalloc`` sees numpy's buffers, so the
+bound is checked on allocated bytes, independently of the allocator and
+the page cache.  A dense ``(V, I, chunk)`` arrival tensor — the
+multi-source kernel before the sliced fold — breaks the bound several
+times over.
+"""
+
+import tracemalloc
+
+import pytest
+
+from repro.liberty import standard_library
+from repro.montecarlo.flat import (
+    MC_SAMPLE_BLOCK,
+    mc_chunk_budget,
+    simulate_io_delays,
+)
+from repro.netlist.iscas85 import iscas85_surrogate
+from repro.placement import place_netlist
+from repro.timing import build_timing_graph
+from repro.timing.arrays import GraphArrays
+from repro.timing.builder import default_variation_for
+
+FLOAT_BYTES = 8
+SMALL_SLACK_BYTES = 2 << 20
+NUM_SAMPLES = 1024
+
+
+@pytest.fixture(scope="module")
+def mid_size_graph():
+    """c880 surrogate: 443 vertices, 729 edges, 60 inputs, 26 outputs."""
+    netlist = iscas85_surrogate("c880")
+    library = standard_library()
+    placement = place_netlist(netlist, library)
+    return build_timing_graph(
+        netlist, library, placement, default_variation_for(netlist, placement)
+    )
+
+
+def _traced_peak(graph, arrays, chunk_size):
+    tracemalloc.start()
+    try:
+        simulate_io_delays(
+            graph, NUM_SAMPLES, seed=3, chunk_size=chunk_size, arrays=arrays
+        )
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _bound(arrays, chunk):
+    num_edges = arrays.edge_mean.shape[0]
+    num_pairs = arrays.input_rows.shape[0] * arrays.output_rows.shape[0]
+    delay_block = num_edges * chunk * FLOAT_BYTES
+    output_block = num_pairs * chunk * FLOAT_BYTES
+    slack = delay_block + SMALL_SLACK_BYTES
+    return mc_chunk_budget() * FLOAT_BYTES + delay_block + output_block + slack
+
+
+@pytest.mark.parametrize(
+    "budget, chunk_size",
+    [("200000", None), (None, 1024)],
+    ids=["small-budget", "chunk-1024"],
+)
+def test_traced_peak_stays_within_budget(
+    mid_size_graph, monkeypatch, budget, chunk_size
+):
+    if budget is None:
+        monkeypatch.delenv("REPRO_MC_CHUNK_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_MC_CHUNK_BUDGET", budget)
+    arrays = GraphArrays.from_graph(mid_size_graph)
+    chunk = MC_SAMPLE_BLOCK if chunk_size is None else chunk_size
+    dense_state = arrays.num_vertices * arrays.input_rows.shape[0] * chunk
+    bound = _bound(arrays, chunk)
+    # The dense (V, I, chunk) tensor alone would not fit.
+    assert dense_state * FLOAT_BYTES > bound
+    peak = _traced_peak(mid_size_graph, arrays, chunk_size)
+    assert peak <= bound, "traced peak %.1f MB over the %.1f MB bound" % (
+        peak / 1e6,
+        bound / 1e6,
+    )
+

@@ -18,11 +18,14 @@ from repro.montecarlo.flat import (
     simulate_graph_delay,
     simulate_io_delays,
 )
+from repro.parallel.pool import ShardedExecutor
 from repro.parallel.shard import partition_samples
 from repro.timing.sta import corner_sta, corner_sta_parallel, corner_sweep
 
 DELAY_SAMPLES = 600  # spans five 128-sample blocks
 IO_SAMPLES = 384  # three blocks, still partitionable four ways
+SLICED_SAMPLES = 300  # two whole blocks and a partial one
+SLICED_BUDGET = "2688"  # fold widths 35 / 3 / 1 on c17 / mult4 / c432
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +92,35 @@ def test_io_stats_invariant_across_workers(
         assert np.array_equal(serial.valid, result.valid)
         assert np.array_equal(serial.means, result.means, equal_nan=True)
         assert np.array_equal(serial.stds, result.stds, equal_nan=True)
+
+
+def test_io_stats_invariant_across_workers_in_sliced_folds(
+    parity_module, monkeypatch
+):
+    """Two workers fold their block ranges in narrow sample slices.
+
+    A fresh 2-worker pool spawns under a small chunk budget, so each worker
+    folds in slices of 35, 3 and 1 sample columns (c17, mult4, c432)
+    instead of whole blocks; the statistics still match the serial run.
+    """
+    graph, _variation = parity_module
+    serial = simulate_io_delays(graph, SLICED_SAMPLES, seed=6)
+    monkeypatch.setenv("REPRO_MC_CHUNK_BUDGET", SLICED_BUDGET)
+    executor = ShardedExecutor(workers=2, engine="auto")
+    if executor.engine != "process":
+        reason = executor.fallback_reason
+        executor.close()
+        pytest.skip("process engine unavailable: %s" % reason)
+    try:
+        sharded = simulate_io_delays(
+            graph, SLICED_SAMPLES, seed=6, executor=executor
+        )
+    finally:
+        executor.close()
+    assert sharded.map_report is not None
+    assert np.array_equal(serial.valid, sharded.valid)
+    assert np.array_equal(serial.means, sharded.means, equal_nan=True)
+    assert np.array_equal(serial.stds, sharded.stds, equal_nan=True)
 
 
 def test_io_stats_invariant_across_chunk_splits(parity_module):
