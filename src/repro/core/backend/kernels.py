@@ -4,7 +4,7 @@ Every function in this module is written in the numba ``nopython`` subset —
 plain loops, scalar ``math`` calls and pre-allocated array arguments, no
 fancy indexing, no Python objects — but is **not** decorated: the registry
 (:mod:`repro.core.backend.registry`) applies ``numba.njit(cache=True,
-fastmath=False)`` lazily when the numba tier resolves.  Undecorated, each
+fastmath=False, nogil=True)`` lazily when the numba tier resolves.  Undecorated, each
 kernel is an ordinary (slow) Python function, which is exactly what the
 parity suites exercise when numba is absent: the kernel *logic* is tested
 everywhere, compilation is an optional accelerator.

@@ -3,8 +3,8 @@
 The registry resolves named kernels to one of two tiers:
 
 * ``"numpy"`` — the existing vectorized implementations (always available);
-* ``"numba"`` — lazily ``numba.njit(cache=True, fastmath=False)``-compiled
-  variants of the nopython kernel bodies in
+* ``"numba"`` — lazily ``numba.njit(cache=True, fastmath=False,
+  nogil=True)``-compiled variants of the nopython kernel bodies in
   :mod:`repro.core.backend.kernels`.
 
 Selection follows the package's environment-knob convention (mirroring
@@ -146,7 +146,9 @@ def _probe_numba() -> Tuple[Optional[Callable], Optional[str]]:
         try:
             import numpy as np
 
-            jit = numba.njit(cache=True, fastmath=False)
+            # nogil: the threaded Monte Carlo fold calls the compiled
+            # kernel from several threads at once.
+            jit = numba.njit(cache=True, fastmath=False, nogil=True)
             probe = jit(_kernels.normal_cdf_into_kernel)
             out = np.empty(2)
             probe(np.array([0.0, 1.0]), out)

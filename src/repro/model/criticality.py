@@ -45,6 +45,7 @@ import numpy as np
 from repro.core.backend import get_kernel
 from repro.core.batch import tightness_from_moments
 from repro.core.gaussian import normal_cdf
+from repro.parallel import threads
 from repro.timing.allpairs import AllPairsTiming, AllPairsUpdate
 from repro.timing.graph import TimingEdge, TimingGraph
 from repro.timing.propagation import AUTO_BATCH_MIN_EDGES
@@ -90,7 +91,11 @@ AUTO_BATCH_MIN_CRITICALITY_EDGES = max(8, AUTO_BATCH_MIN_EDGES // 16)
 # same-shaped reused buffers, so the chunk working set must stay
 # last-level-cache resident — measured on c7552 (207 x 108 pairs, ~23
 # edges per chunk), throughput degrades ~40% by 16 MB tensors and the
-# sweet spot is flat between 2^17 and 2^20 pairs.
+# sweet spot is flat between 2^17 and 2^20 pairs.  The budget is per
+# chunk and is not split across the chunk threads (_batched_edge_max):
+# while a run's chunks execute, each thread holds one chunk's scratch, so
+# the working set grows with the thread count, but the chunk sizes — and
+# with them the BLAS rounding — stay the same for every thread count.
 CRITICALITY_CHUNK_PAIRS = 1 << 19
 
 #: Environment variable overriding :data:`CRITICALITY_CHUNK_PAIRS`.
@@ -787,30 +792,38 @@ def _batched_edge_max(
     maximum of every edge row of ``rows_all`` and the flat index of an
     attaining pair in the (restricted) pair space.  ``moments`` must have
     been built with the same ``input_rows``/``output_cols`` restriction.
+
+    The edge chunks are spread over
+    :func:`~repro.parallel.threads.thread_count` threads, each with its own
+    scratch buffers: the first thread reuses ``work`` (the scratch cached
+    on the analysis), the others allocate theirs for this call only, so
+    the idle footprint stays one chunk's scratch.  Chunks write disjoint
+    rows of the results.  Chunk sizes follow ``chunk_pairs`` alone, never
+    the thread count: OpenBLAS rounds a batched matmul's rows differently
+    for different row counts, so only a thread-independent chunking keeps
+    the values bitwise identical for every thread count.  The chunks run
+    with BLAS pinned to one thread; when it cannot be pinned they run
+    serially, since threads over a multi-threaded BLAS oversubscribe the
+    cores.
     """
     num_inputs = analysis.num_inputs if input_rows is None else input_rows.size
     num_outputs = (
         analysis.num_outputs if output_cols is None else output_cols.size
     )
     num_pairs = num_inputs * num_outputs
-    chunk_edges = auto_chunk_edges(
-        num_inputs,
-        num_outputs,
-        analysis.arrays.edge_corr.shape[1],
-        chunk_pairs,
-    )
     values = np.zeros(rows_all.size, dtype=float)
     best_all = np.zeros(rows_all.size, dtype=np.int64)
-    for start in range(0, rows_all.size, chunk_edges):
-        chunk_rows = rows_all[start : start + chunk_edges]
+
+    def run_chunk(scratch: Dict[str, np.ndarray], start: int, stop: int) -> None:
+        chunk_rows = rows_all[start:stop]
         count = chunk_rows.size
         z, degenerate, tied, valid = _chunk_terms(
-            analysis, chunk_rows, moments, work, input_rows, output_cols,
+            analysis, chunk_rows, moments, scratch, input_rows, output_cols,
             backend,
         )
         # Pairs whose value is nd(z): valid and not resolved through the
         # degenerate 0/1 rule; everything else scores -inf (nd == 0.0).
-        unscored = _view(work, "unscored", valid.shape, bool)
+        unscored = _view(scratch, "unscored", valid.shape, bool)
         np.logical_not(valid, out=unscored)
         unscored |= degenerate
         np.copyto(z, -np.inf, where=unscored)
@@ -824,8 +837,29 @@ def _batched_edge_max(
         has_tie = tied_flat.any(axis=1)
         tie_first = np.argmax(tied_flat, axis=1)
         take_tie = has_tie & (chunk_values < 1.0)
-        values[start : start + count] = np.where(take_tie, 1.0, chunk_values)
-        best_all[start : start + count] = np.where(take_tie, tie_first, best)
+        values[start:stop] = np.where(take_tie, 1.0, chunk_values)
+        best_all[start:stop] = np.where(take_tie, tie_first, best)
+
+    chunk_edges = auto_chunk_edges(
+        num_inputs, num_outputs, analysis.arrays.edge_corr.shape[1], chunk_pairs
+    )
+    starts = range(0, rows_all.size, chunk_edges)
+    with threads.single_blas_thread() as pinned:
+        num_threads = min(threads.thread_count() if pinned else 1, len(starts))
+        works = [work] + [{} for _unused in range(num_threads - 1)]
+        # Each thread's first (largest) chunk runs here, so every scratch
+        # buffer comes from the calling thread's malloc arena: buffers
+        # allocated in a worker thread land in a per-thread arena that
+        # keeps their pages resident after the call (+30 MB peak RSS on
+        # the 16x16 multiplier flow).
+        for thread in range(num_threads):
+            run_chunk(works[thread], starts[thread], starts[thread] + chunk_edges)
+
+        def run_thread(thread: int) -> None:
+            for start in starts[thread + num_threads :: num_threads]:
+                run_chunk(works[thread], start, start + chunk_edges)
+
+        threads.map_ordered(run_thread, range(num_threads))
     return values, best_all
 
 

@@ -27,7 +27,9 @@ object split of :mod:`repro.timing.propagation`:
   :func:`simulate_io_delays` computes the per-input longest paths of all
   ``|I|`` inputs in one pass over one shared sampled delay matrix instead
   of ``|I|`` full propagations per chunk, folding it in budget-sized
-  sample-column slices over a reused ``(V, I, width)`` state;
+  sample-column slices, spread over the cores' threads, over a
+  ``(slots, I, width)`` state that holds only the live frontier of the
+  fold (:class:`_SlotPlan`);
 * the **object-level engine** (``engine="object"``) is the original
   per-vertex loop over ``fanin_edges``, kept as the readable reference
   and as the parity baseline (both engines produce bit-identical samples
@@ -46,13 +48,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.backend import flat_fold_schedule, get_kernel
 from repro.errors import TimingGraphError
+from repro.parallel import threads
 from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 from repro.timing.propagation import AUTO_BATCH_MIN_EDGES
@@ -86,9 +89,11 @@ AUTO_LEVELIZED_MIN_EDGES = AUTO_BATCH_MIN_EDGES // 16
 #: drops below one whole :data:`MC_SAMPLE_BLOCK`, so on wide multi-source
 #: graphs the block alone may exceed the budget.  The *fold width* of the
 #: multi-source kernel (:func:`_fold_width`) is the number of sample
-#: columns folded at once; its ``(V, I, width)`` arrival state plus the
-#: ``(max_level_rows, I, width)`` candidate and accumulator blocks always
-#: fit the budget (one column is the floor).  4M floats (32 MiB) keeps
+#: columns one fold thread folds at once.  The budget is split evenly
+#: across the fold threads, and each thread's ``(slots, I, width)``
+#: arrival state — one row per live slot of the fold, not per vertex —
+#: plus its ``(max_level_rows, I, width)`` candidate and accumulator
+#: blocks fit its share (one column is the floor).  4M floats (32 MiB) keeps
 #: that working set last-level-cache resident on typical hardware
 #: (measured on c7552: ~40 us/sample at chunk 256 vs ~56 us at 1024).
 #: Overridable per run via the ``REPRO_MC_CHUNK_BUDGET`` environment
@@ -392,6 +397,124 @@ def _level_fanin(
     return edge_rows, starts
 
 
+# ``(vertex_rows, ((source_rows, offset, count), ...))`` per forward level.
+_FoldLevels = Tuple[Tuple[np.ndarray, Tuple[Tuple[np.ndarray, int, int], ...]], ...]
+
+
+@dataclass(frozen=True)
+class _SlotPlan:
+    """Frontier-sized state layout of the multi-source fold.
+
+    The fold keeps one ``(I, w)`` state row per *slot* instead of per
+    vertex.  A vertex needs its row only over its live range: from the
+    level that defines it (before the first level for rows the fold never
+    writes, and for the seeded ``source_rows``) to the last level that
+    reads it.  Slots come from a greedy interval assignment over those
+    ranges; a slot freed after level ``k`` is reused from level ``k + 1``
+    on, so even a kernel that writes each vertex as soon as it is folded
+    never overwrites a row a later vertex of the same level still reads.
+    ``sink_rows`` stay live to the end, and so do sources with fanin: they
+    keep their slot for the whole fold, so ``is_source`` can be indexed by
+    slot.
+
+    ``levels``/``seeded`` mirror :attr:`_ForwardSchedule.levels` with
+    every vertex row replaced by its slot; ``start_slots`` are the slots
+    each sample slice resets to ``-inf`` before seeding ``source_slots``.
+    """
+
+    source_rows: np.ndarray
+    sink_rows: np.ndarray
+    num_slots: int
+    slot_of: np.ndarray  # (V,) slot of each vertex row
+    levels: _FoldLevels
+    seeded: Tuple[Optional[Tuple[np.ndarray, np.ndarray]], ...]
+    start_slots: np.ndarray
+    source_slots: np.ndarray
+    sink_slots: np.ndarray
+    is_source: np.ndarray  # (num_slots,) sources with fanin
+
+
+def _slot_plan(
+    arrays: GraphArrays,
+    levels: _FoldLevels,
+    source_rows: np.ndarray,
+    sink_rows: np.ndarray,
+) -> _SlotPlan:
+    """The :class:`_SlotPlan` of the fold ``levels`` for these sources and sinks."""
+    num_vertices = arrays.num_vertices
+    end = len(levels)
+    born = np.full(num_vertices, -1, dtype=np.int64)
+    for index, (rows, _rounds) in enumerate(levels):
+        born[rows] = index
+    has_fanin = born >= 0
+    last = born.copy()
+    for index, (_rows, rounds) in enumerate(levels):
+        for source, _offset, _count in rounds:
+            last[source] = index  # levels ascend: the final write is the max
+    born[source_rows] = -1
+    last[sink_rows] = end
+    last[source_rows[has_fanin[source_rows]]] = end
+
+    # Greedy interval assignment, level by level: vertices born at level
+    # k take freed slots first, then fresh ones; vertices last read at k
+    # free theirs for level k + 1.
+    by_born = np.argsort(born, kind="stable")
+    born_bounds = np.searchsorted(born[by_born], np.arange(-1, end + 1))
+    by_last = np.argsort(last, kind="stable")
+    last_bounds = np.searchsorted(last[by_last], np.arange(-1, end + 1))
+    slot_of = np.empty(num_vertices, dtype=np.int64)
+    free: list = []
+    num_slots = 0
+    for position in range(end + 1):
+        group = by_born[born_bounds[position] : born_bounds[position + 1]]
+        reuse = min(group.shape[0], len(free))
+        fresh = group.shape[0] - reuse
+        taken = free[len(free) - reuse :]
+        del free[len(free) - reuse :]
+        slot_of[group] = np.concatenate(
+            [
+                np.asarray(taken, dtype=np.int64),
+                np.arange(num_slots, num_slots + fresh),
+            ]
+        )
+        num_slots += fresh
+        dying = by_last[last_bounds[position] : last_bounds[position + 1]]
+        free.extend(slot_of[dying].tolist())
+
+    is_source = np.zeros(num_slots, dtype=bool)
+    is_source[slot_of[source_rows[has_fanin[source_rows]]]] = True
+    is_source_row = np.zeros(num_vertices, dtype=bool)
+    is_source_row[source_rows] = True
+    slot_levels = []
+    seeded = []
+    for rows, rounds in levels:
+        slot_levels.append(
+            (
+                slot_of[rows],
+                tuple(
+                    (slot_of[source], offset, count)
+                    for source, offset, count in rounds
+                ),
+            )
+        )
+        positions = np.flatnonzero(is_source_row[rows])
+        seeded.append(
+            (positions, slot_of[rows[positions]]) if positions.size else None
+        )
+    return _SlotPlan(
+        source_rows=source_rows,
+        sink_rows=sink_rows,
+        num_slots=num_slots,
+        slot_of=slot_of,
+        levels=tuple(slot_levels),
+        seeded=tuple(seeded),
+        start_slots=slot_of[born < 0],
+        source_slots=slot_of[source_rows],
+        sink_slots=slot_of[sink_rows],
+        is_source=is_source,
+    )
+
+
 @dataclass(frozen=True)
 class _ForwardSchedule:
     """Round-scheduled fold plan of the forward levels (Monte Carlo view).
@@ -403,11 +526,15 @@ class _ForwardSchedule:
     ``r`` folds the ``r``-th fanin edge of the level's leading ``count``
     vertices (vertices are pre-sorted by descending degree, so round
     participants are always a prefix — the same trick as the batched SSTA
-    engine's :func:`~repro.timing.propagation._fold_rounds`).
+    engine's :func:`~repro.timing.propagation._fold_rounds`).  ``slots``
+    is the multi-source fold's state layout (:class:`_SlotPlan`), built on
+    first use by :func:`_slot_plan_for`, so single-source runs never pay
+    for it.
     """
 
     perm: np.ndarray
-    levels: Tuple[Tuple[np.ndarray, Tuple[Tuple[np.ndarray, int, int], ...]], ...]
+    levels: _FoldLevels
+    slots: Optional[_SlotPlan] = None
 
 
 def _forward_schedule(arrays: GraphArrays) -> _ForwardSchedule:
@@ -448,6 +575,30 @@ def _forward_schedule(arrays: GraphArrays) -> _ForwardSchedule:
     schedule = _ForwardSchedule(perm, tuple(schedule_levels))
     arrays._mc_forward_schedule = (levels, schedule)
     return schedule
+
+
+def _slot_plan_for(
+    arrays: GraphArrays, source_rows: np.ndarray, sink_rows: np.ndarray
+) -> _SlotPlan:
+    """The slot plan of these sources and sinks, cached with the schedule.
+
+    A plan built for other rows is replaced: an I/O-designation change
+    keeps the levels, and with them the cached schedule.
+    """
+    schedule = _forward_schedule(arrays)
+    plan = schedule.slots
+    if (
+        plan is not None
+        and np.array_equal(plan.source_rows, source_rows)
+        and np.array_equal(plan.sink_rows, sink_rows)
+    ):
+        return plan
+    plan = _slot_plan(arrays, schedule.levels, source_rows, sink_rows)
+    arrays._mc_forward_schedule = (
+        arrays.forward_levels(),
+        replace(schedule, slots=plan),
+    )
+    return plan
 
 
 def _fold_level_rounds(arrivals, permuted_delays, rounds):
@@ -526,44 +677,51 @@ def _max_level_rows(arrays: GraphArrays) -> int:
 def _fold_width(arrays: GraphArrays, num_sources: int, chunk: int) -> int:
     """Sample columns per multi-source fold slice, sized by the budget.
 
-    One slice holds the ``(V, I, w)`` arrival state plus the
+    The budget (:func:`mc_chunk_budget`) is split evenly across the fold
+    threads (:func:`~repro.parallel.threads.thread_count`).  One thread's
+    slice holds the ``(slots, I, w)`` arrival state — ``slots`` the live
+    frontier of the slot plan (:class:`_SlotPlan`), not ``V`` — plus the
     ``(max_level_rows, I, w)`` candidate and accumulator blocks, so ``w``
-    is the budget (:func:`mc_chunk_budget`) over their per-column floats,
-    clipped to ``[1, chunk]``.
+    is the per-thread budget over their per-column floats, clipped to
+    ``[1, chunk]``.
     """
-    per_column = (arrays.num_vertices + 2 * _max_level_rows(arrays)) * num_sources
-    return int(min(max(mc_chunk_budget() // per_column, 1), chunk))
+    num_slots = _slot_plan_for(
+        arrays, arrays.input_rows, arrays.output_rows
+    ).num_slots
+    per_column = (num_slots + 2 * _max_level_rows(arrays)) * num_sources
+    budget = mc_chunk_budget() // threads.thread_count()
+    return int(min(max(budget // per_column, 1), chunk))
 
 
-def _fold_slice(state, delays, levels, seeded_levels, cand_buffer, acc_buffer):
-    """Fold one ``(V, I, w)`` sample slice level by level, in place.
+def _fold_slice(state, delays, plan, cand_buffer, acc_buffer):
+    """Fold one ``(slots, I, w)`` sample slice level by level, in place.
 
     ``delays`` is the slice's ``(E, w)`` delay block in fold order
-    (``_ForwardSchedule.perm``); ``seeded_levels[k]`` is ``None`` or the
-    ``(positions, rows)`` of level ``k``'s input vertices.  Each round
-    gathers into a reused buffer view; round 0 covers every row of the
-    level, so it initialises the accumulator.
+    (``_ForwardSchedule.perm``); ``plan`` is the :class:`_SlotPlan` whose
+    slot-mapped levels drive the fold.  Each round gathers into a reused
+    buffer view; round 0 covers every row of the level, so it initialises
+    the accumulator.
     """
     row_floats = state.shape[1] * state.shape[2]
-    for (rows, rounds), seeded in zip(levels, seeded_levels):
-        acc = acc_buffer[: rows.shape[0] * row_floats].reshape(
-            (rows.shape[0],) + state.shape[1:]
+    for (slots, rounds), seeded in zip(plan.levels, plan.seeded):
+        acc = acc_buffer[: slots.shape[0] * row_floats].reshape(
+            (slots.shape[0],) + state.shape[1:]
         )
-        for round_index, (source_rows, offset, count) in enumerate(rounds):
+        for round_index, (source_slots, offset, count) in enumerate(rounds):
             candidates = acc
             if round_index:
                 candidates = cand_buffer[: count * row_floats].reshape(
                     (count,) + state.shape[1:]
                 )
-            np.take(state, source_rows, axis=0, out=candidates, mode="clip")
+            np.take(state, source_slots, axis=0, out=candidates, mode="clip")
             candidates += delays[offset : offset + count, np.newaxis]
             if round_index:
                 np.maximum(acc[:count], candidates, out=acc[:count])
         if seeded is not None:
             # An input vertex with fanin keeps its 0.0 seed in the fold.
-            positions, seed_rows = seeded
-            acc[positions] = np.maximum(acc[positions], state[seed_rows])
-        state[rows] = acc
+            positions, seed_slots = seeded
+            acc[positions] = np.maximum(acc[positions], state[seed_slots])
+        state[slots] = acc
 
 
 def _longest_paths_multi_source(
@@ -583,74 +741,86 @@ def _longest_paths_multi_source(
     ``|I|`` propagations, so the per-input Table-I reference costs one pass
     per chunk instead of ``|I|``.
 
-    The ``(E, S)`` delay block is folded in sample-column slices of
-    ``width`` columns over buffers allocated once per call: the
-    ``(V, I, width)`` arrival state, the slice's ``(E, width)`` delays and,
-    on the numpy tier, the ``(max_level_rows, I, width)`` candidate and
-    accumulator blocks.  Only the sink rows of each slice are kept, so the
-    working set is bounded by ``width`` instead of ``S`` (see
-    :func:`_fold_width`).  Every slice's fold overwrites the level rows and
-    never writes rows without fanin, so the state is filled once per slice
-    width and only the source rows (which the fold may raise) are reseeded
-    per slice.  The compiled backend runs each slice as one fused nopython
-    sweep over C-contiguous buffers (bitwise identical: ``+`` and ``max``
-    are exact).
+    The ``(E, S)`` delay block's sample columns are split into contiguous
+    spans, one per fold thread (:func:`~repro.parallel.threads.thread_count`),
+    and each thread folds its span in slices of ``width`` columns over its
+    own rows of buffers allocated for this call: the ``(slots, I, width)``
+    arrival state of the slot plan (:class:`_SlotPlan`), the slice's
+    ``(E, width)`` delays and, on the numpy tier, the
+    ``(max_level_rows, I, width)`` candidate and accumulator blocks.  Only
+    the sink slots of each slice are kept, written to the thread's own
+    columns of ``out``, so the working set is bounded by ``width`` per
+    thread instead of ``S`` (see :func:`_fold_width`).  Each slice resets
+    the slots live before the first level and reseeds the sources; every
+    other slot is written by its level before any read.  The compiled
+    backend runs each slice as one fused nopython sweep over the same
+    slot-mapped plan (bitwise identical: ``+`` and ``max`` are exact, so
+    no thread count, span or width changes a value).
     """
-    num_vertices = arrays.num_vertices
     num_sources = source_rows.shape[0]
     num_edges, num_samples = delays.shape
     if out is None:
         out = np.empty((num_sources, sink_rows.shape[0], num_samples))
     width = max(1, min(int(width), num_samples))
     source_columns = np.arange(num_sources)
-    is_source = np.zeros(num_vertices, dtype=bool)
-    is_source[source_rows] = True
+    plan = _slot_plan_for(arrays, source_rows, sink_rows)
+    num_slots = plan.num_slots
 
     kernel = get_kernel("mc_longest_paths", backend)
     compiled = kernel.backend == "numba"
     if compiled:
         flat = flat_fold_schedule(arrays, "forward")
+        vertex_slots = plan.slot_of[flat.vertices]
+        edge_source_slots = plan.slot_of[arrays.edge_source]
     else:
-        schedule = _forward_schedule(arrays)
-        seeded_levels = []
-        for rows, _rounds in schedule.levels:
-            positions = np.flatnonzero(is_source[rows])
-            seeded_levels.append(
-                (positions, rows[positions]) if positions.size else None
-            )
-        cand_buffer = np.empty(_max_level_rows(arrays) * num_sources * width)
-        acc_buffer = np.empty_like(cand_buffer)
-    state_buffer = np.empty(num_vertices * num_sources * width)
-    delay_buffer = np.empty(num_edges * width)
+        perm = _forward_schedule(arrays).perm
+        max_level_rows = _max_level_rows(arrays)
 
-    filled_cols = 0
-    for low in range(0, num_samples, width):
-        cols = min(width, num_samples - low)
-        state = state_buffer[: num_vertices * num_sources * cols].reshape(
-            num_vertices, num_sources, cols
-        )
-        if cols != filled_cols:
-            state.fill(_NEG_INF)
-            filled_cols = cols
-        state[source_rows] = _NEG_INF
-        state[source_rows, source_columns] = 0.0
-        delay_slice = delay_buffer[: num_edges * cols].reshape(num_edges, cols)
-        if compiled:
-            np.copyto(delay_slice, delays[:, low : low + cols])
-            kernel.function(
-                flat.level_ptr, flat.vertices, flat.edge_ptr, flat.edge_rows,
-                arrays.edge_source, delay_slice, state, is_source,
+    num_threads = min(threads.thread_count(), num_samples)
+    bounds = [num_samples * thread // num_threads for thread in range(num_threads + 1)]
+    width = min(width, bounds[1] - bounds[0])
+    # One row of each buffer per thread, allocated here on the calling
+    # thread: allocations made inside worker threads land in per-thread
+    # malloc arenas that keep the freed pages resident (+30 MB peak RSS
+    # on c7552).
+    state_rows = np.empty((num_threads, num_slots * num_sources * width))
+    delay_rows = np.empty((num_threads, num_edges * width))
+    if not compiled:
+        cand_rows = np.empty((num_threads, max_level_rows * num_sources * width))
+        acc_rows = np.empty_like(cand_rows)
+
+    def fold_span(thread: int) -> None:
+        low, high = bounds[thread], bounds[thread + 1]
+        for start in range(low, high, width):
+            cols = min(width, high - start)
+            state = state_rows[thread, : num_slots * num_sources * cols].reshape(
+                num_slots, num_sources, cols
             )
-        else:
-            np.take(
-                delays[:, low : low + cols], schedule.perm, axis=0,
-                out=delay_slice, mode="clip",
+            state[plan.start_slots] = _NEG_INF
+            state[plan.source_slots, source_columns] = 0.0
+            delay_slice = delay_rows[thread, : num_edges * cols].reshape(
+                num_edges, cols
             )
-            _fold_slice(
-                state, delay_slice, schedule.levels, seeded_levels,
-                cand_buffer, acc_buffer,
-            )
-        out[:, :, low : low + cols] = state[sink_rows].transpose(1, 0, 2)
+            if compiled:
+                np.copyto(delay_slice, delays[:, start : start + cols])
+                kernel.function(
+                    flat.level_ptr, vertex_slots, flat.edge_ptr, flat.edge_rows,
+                    edge_source_slots, delay_slice, state, plan.is_source,
+                )
+            else:
+                np.take(
+                    delays[:, start : start + cols], perm, axis=0,
+                    out=delay_slice, mode="clip",
+                )
+                _fold_slice(
+                    state, delay_slice, plan, cand_rows[thread], acc_rows[thread]
+                )
+            # Row by row: a gathered (K, I, cols) copy per thread would not
+            # fit the memory bound.
+            for position, slot in enumerate(plan.sink_slots):
+                out[:, position, start : start + cols] = state[slot]
+
+    threads.map_ordered(fold_span, range(num_threads))
     return out
 
 
@@ -899,21 +1069,24 @@ def simulate_io_delays(
     object-level reference (``engine="object"``) runs the original
     one-propagation-per-input loop.  Sampling is counter-based per block
     and moments accumulate per block in ascending order, so the statistics
-    are bit-identical across engines, chunk sizes, fold widths and worker
-    counts for the same ``(seed, num_samples)``.  The ``valid`` mask is
-    derived structurally from per-input reachability, so a pair is NaN
-    exactly when no path connects it.
+    are bit-identical across engines, chunk sizes, fold widths, thread
+    counts and worker counts for the same ``(seed, num_samples)``.  The
+    ``valid`` mask is derived structurally from per-input reachability, so
+    a pair is NaN exactly when no path connects it.
 
     Two sizes bound the memory.  The *sampling chunk* is the number of
     samples drawn as one ``(E, chunk)`` delay block: an explicit
     ``chunk_size`` sets it (rounded down to whole 128-sample blocks, at
     least one) and ``None`` auto-sizes it (:func:`auto_chunk_size`).  The
-    *fold width* is the number of sample columns the levelized engine
-    folds at once; it is derived from the chunk budget
-    (:func:`mc_chunk_budget`) so that the ``(V, I, width)`` arrival state
-    and the per-level candidate and accumulator blocks fit it.  Beyond the
-    budget, a run holds the delay block and one ``(I, O, chunk)`` block of
-    output arrivals.
+    *fold width* is the number of sample columns one fold thread folds at
+    once: each chunk's columns are split across the threads
+    (:func:`~repro.parallel.threads.thread_count`), and the chunk budget
+    (:func:`mc_chunk_budget`) is split evenly between them so that each
+    thread's ``(slots, I, width)`` arrival state — the fold's live slots,
+    not ``V`` — and its per-level candidate and accumulator blocks fit its
+    share.  Beyond the budget, a run holds the delay block and one
+    ``(I, O, chunk)`` block of output arrivals.  Sampling stays on the
+    calling thread, so no BLAS call runs inside the threaded fold.
     ``workers`` / ``executor`` shard block ranges exactly like
     :func:`simulate_graph_delay`, and each worker folds within the same
     bound; so do prebuilt ``arrays``.

@@ -14,7 +14,11 @@ experiment sweeps across worker processes:
   respawn-and-resubmit cycle for dead pools and final serial degradation,
   all accounted in a :class:`~repro.parallel.pool.MapReport`;
 * :mod:`repro.parallel.shard` holds the work partitioners and the task
-  registry.
+  registry;
+* :mod:`repro.parallel.threads` spreads one analysis's independent chunks
+  over in-process threads (criticality edge chunks, Monte Carlo fold
+  slices) and pins BLAS to one thread where threads or pool workers would
+  oversubscribe the cores.
 
 All sharded analyses are **deterministic by construction**: Monte Carlo
 draws are counter-based per sample block, so any partitioning of the work

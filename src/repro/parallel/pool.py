@@ -49,7 +49,9 @@ block, so a retried, respawned or serially degraded run stays
 Worker counts resolve from the explicit argument, else the
 ``REPRO_WORKERS`` environment variable, else 1; both are validated with a
 clear ``ValueError``.  The pool uses the ``spawn`` start method so workers
-never inherit interpreter state (fork-unsafe extensions, open segments).
+never inherit interpreter state (fork-unsafe extensions, open segments),
+and every worker, respawned ones included, pins BLAS to one thread at
+start-up so the pool does not oversubscribe the cores.
 :func:`shared_executor` keeps one process-wide executor per worker count so
 repeated analyses amortise the pool start-up; all shared executors are
 closed at interpreter exit with a bounded escalation (close, then
@@ -269,6 +271,20 @@ def _invoke(item: Tuple[str, object, object]):
     return shard.TASKS[task_name](arrays, payload)
 
 
+def _init_worker() -> None:
+    """Pool-worker initializer: pin BLAS to one thread for the worker's life.
+
+    Every worker of a ``workers``-sized pool running a multi-threaded BLAS
+    would oversubscribe the cores (on a 2-CPU host the 2-worker c7552
+    Monte Carlo ran at 0.9x of serial, and at 1.46x with the pin), so
+    each worker enters :class:`~repro.parallel.threads.single_blas_thread`
+    once and never leaves it.
+    """
+    from repro.parallel.threads import single_blas_thread
+
+    single_blas_thread().__enter__()
+
+
 class ShardedExecutor:
     """A reusable executor sharding task payloads across worker processes."""
 
@@ -322,7 +338,9 @@ class ShardedExecutor:
             import multiprocessing
 
             context = multiprocessing.get_context("spawn")
-            self._pool = context.Pool(processes=self._workers)
+            self._pool = context.Pool(
+                processes=self._workers, initializer=_init_worker
+            )
         return self._pool
 
     def _worker_pids(self) -> Optional[frozenset]:

@@ -199,8 +199,9 @@ class TestDispatchParity:
         )
         np.testing.assert_array_equal(compiled.samples, reference.samples)
 
-    # "2688" makes the compiled kernel fold 35 / 3 / 1-column sample slices
-    # on c17 / mult4 / c432 instead of whole blocks.
+    # "2688" makes the compiled kernel fold narrow sample slices instead
+    # of whole blocks: 48 / 6 / 1 columns on c17 / mult4 / c432 with one
+    # fold thread, about half that per thread with two.
     @pytest.mark.parametrize("budget", [None, "2688"])
     def test_monte_carlo_io_moments_are_bitwise(
         self, identity_jit, parity_module, monkeypatch, budget

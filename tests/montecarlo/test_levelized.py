@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backend import registry, reset_backend_state
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
 from repro.montecarlo.flat import (
@@ -27,17 +28,22 @@ from repro.montecarlo.flat import (
     _longest_paths_multi_source,
     _longest_paths_object,
     _resolve_engine,
+    _slot_plan_for,
     auto_chunk_size,
     simulate_graph_delay,
     simulate_io_delays,
 )
+from repro.parallel import threads
 from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 
 NUM_LOCALS = 2
 
 
-def _build_graph(seed, num_inputs, num_outputs, num_internal, irregular=False):
+def _build_graph(
+    seed, num_inputs, num_outputs, num_internal, irregular=False,
+    fanout_outputs=False,
+):
     """A random layered DAG with designated inputs/outputs.
 
     Every non-input vertex receives 1-3 fanin edges from topologically
@@ -47,7 +53,9 @@ def _build_graph(seed, num_inputs, num_outputs, num_internal, irregular=False):
     ``irregular`` adds two undriven internal vertices to the fanin pool
     and gives some inputs a fanin edge from the previous input, so inputs
     must keep their 0.0 seed through the fold and unreachable drivers must
-    stay at ``-inf``.
+    stay at ``-inf``.  ``fanout_outputs`` shuffles the outputs in among
+    the internal vertices and lets them drive later ones, so outputs are
+    read mid-fold yet must stay live to the end.
     """
     rng = np.random.default_rng(seed)
     graph = TimingGraph("mc%d" % seed, NUM_LOCALS)
@@ -61,7 +69,11 @@ def _build_graph(seed, num_inputs, num_outputs, num_internal, irregular=False):
     undriven = ["u0", "u1"] if irregular else []
     for name in undriven:
         graph.add_vertex(name)
-    sources = inputs + undriven + internal  # outputs stay pure sinks
+    driven = internal + outputs
+    if fanout_outputs:
+        driven = [driven[int(k)] for k in rng.permutation(len(driven))]
+    # Without fanout_outputs the outputs come last and stay pure sinks.
+    sources = inputs + undriven + driven
 
     def _delay():
         return CanonicalForm(
@@ -75,8 +87,10 @@ def _build_graph(seed, num_inputs, num_outputs, num_internal, irregular=False):
         for position in range(1, num_inputs):
             if rng.random() < 0.5:
                 graph.add_edge(inputs[position - 1], inputs[position], _delay())
-    for position, name in enumerate(internal + outputs):
-        limit = num_inputs + len(undriven) + min(position, num_internal)
+    for position, name in enumerate(driven):
+        limit = num_inputs + len(undriven) + (
+            position if fanout_outputs else min(position, num_internal)
+        )
         for _unused in range(int(rng.integers(1, 4))):
             graph.add_edge(sources[int(rng.integers(0, limit))], name, _delay())
     return graph
@@ -163,8 +177,9 @@ class TestRandomizedParity:
         self, seed, num_inputs, num_outputs, num_internal, width, num_samples,
         chunk, irregular,
     ):
-        # The budget sets the fold width: ``width`` sample columns of the
-        # (V + 2 * max_level_rows, I) per-column state fit it exactly.
+        # The budget sets the fold width: on one fold thread, ``width``
+        # sample columns of the (slots + 2 * max_level_rows, I) per-column
+        # state fit it exactly.
         graph = _build_graph(
             seed, num_inputs, num_outputs, num_internal, irregular
         )
@@ -172,8 +187,12 @@ class TestRandomizedParity:
         max_level_rows = max(
             level.vertex_rows.shape[0] for level in arrays.forward_levels()
         )
-        per_column = (arrays.num_vertices + 2 * max_level_rows) * num_inputs
+        num_slots = _slot_plan_for(
+            arrays, arrays.input_rows, arrays.output_rows
+        ).num_slots
+        per_column = (num_slots + 2 * max_level_rows) * num_inputs
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(threads, "thread_count", lambda: 1)
             patch.setenv("REPRO_MC_CHUNK_BUDGET", str(width * per_column))
             assert _fold_width(arrays, num_inputs, MC_SAMPLE_BLOCK) == width
             levelized = simulate_io_delays(
@@ -184,6 +203,93 @@ class TestRandomizedParity:
             graph, num_samples, seed=seed, chunk_size=chunk, engine="object"
         )
         _assert_io_identical(levelized, reference)
+
+
+class TestSlotPlan:
+    """The multi-source fold keeps state only for live vertices (slots)."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10 ** 6),
+        num_inputs=st.integers(min_value=1, max_value=5),
+        num_outputs=st.integers(min_value=1, max_value=4),
+        num_internal=st.integers(min_value=8, max_value=40),
+        width=st.sampled_from([1, 3, 64]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_slot_reuse_is_bit_identical(
+        self, seed, num_inputs, num_outputs, num_internal, width
+    ):
+        # Inputs with fanin, undriven non-inputs and outputs that fan out
+        # all share the slot plan with vertices whose slots get reused.
+        graph = _build_graph(
+            seed, num_inputs, num_outputs, num_internal, irregular=True,
+            fanout_outputs=True,
+        )
+        arrays = GraphArrays.from_graph(graph)
+        rng = np.random.default_rng(seed)
+        delays = arrays.edge_batch.sample(rng, 29)
+        input_rows = arrays.input_rows
+        references = [
+            _longest_paths_object(
+                arrays, delays, np.asarray([row], dtype=np.int64)
+            )
+            for row in input_rows
+        ]
+        for sink_rows in (arrays.output_rows, np.arange(arrays.num_vertices)):
+            numpy_tier = _longest_paths_multi_source(
+                arrays, delays, input_rows, sink_rows, width, backend="numpy"
+            )
+            # The compiled kernel's body, run uncompiled through the real
+            # backend="numba" dispatch: it indexes is_source by slot.
+            with pytest.MonkeyPatch.context() as patch:
+                reset_backend_state()
+                patch.setattr(registry, "_NUMBA_STATE", ((lambda fn: fn), None))
+                try:
+                    compiled_tier = _longest_paths_multi_source(
+                        arrays, delays, input_rows, sink_rows, width,
+                        backend="numba",
+                    )
+                finally:
+                    reset_backend_state()
+            for position, reference in enumerate(references):
+                assert np.array_equal(numpy_tier[position], reference[sink_rows])
+                assert np.array_equal(
+                    compiled_tier[position], reference[sink_rows]
+                )
+        levelized = simulate_io_delays(graph, 200, seed=seed, engine="levelized")
+        reference = simulate_io_delays(graph, 200, seed=seed, engine="object")
+        _assert_io_identical(levelized, reference)
+
+    def test_io_designation_change_rebuilds_the_plan(self):
+        # Marking outputs keeps the levels (and the cached schedule), but
+        # the new outputs must stay live to the end of the fold.
+        graph = _build_graph(7, 3, 2, 20, irregular=True)
+        arrays = GraphArrays.from_graph(graph)
+        simulate_io_delays(graph, 64, seed=1, engine="levelized", arrays=arrays)
+        plan = _slot_plan_for(arrays, arrays.input_rows, arrays.output_rows)
+        assert plan.num_slots < arrays.num_vertices
+        for position in range(20):
+            graph.mark_output("v%d" % position)
+        reused = simulate_io_delays(
+            graph, 64, seed=1, engine="levelized", arrays=arrays
+        )
+        fresh = simulate_io_delays(graph, 64, seed=1, engine="object")
+        _assert_io_identical(reused, fresh)
+
+    def test_chain_needs_two_slots(self):
+        graph = TimingGraph("chain")
+        graph.mark_input("a")
+        graph.mark_output("z")
+        names = ["a"] + ["v%d" % k for k in range(20)] + ["z"]
+        for source, sink in zip(names[:-1], names[1:]):
+            graph.add_edge(source, sink, CanonicalForm.constant(1.0))
+        arrays = GraphArrays.from_graph(graph)
+        # Each vertex is read only by the next level, so two slots
+        # alternate down the chain and the output keeps the last one.
+        plan = _slot_plan_for(arrays, arrays.input_rows, arrays.output_rows)
+        assert plan.num_slots == 2
+        stats = simulate_io_delays(graph, 16, seed=0, engine="levelized")
+        assert stats.mean("a", "z") == pytest.approx(21.0)
 
 
 class TestAcceptanceCircuits:

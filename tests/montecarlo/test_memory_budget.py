@@ -1,17 +1,23 @@
 """Memory contract of the multi-source Monte Carlo kernel.
 
-``simulate_io_delays`` folds each sampled ``(E, chunk)`` block in
-sample-column slices whose ``(V, I, w)`` arrival state and per-level
-candidate/accumulator blocks fit the chunk budget
-(:func:`~repro.montecarlo.flat.mc_chunk_budget`).  Beyond that budget a
-run holds only the sampled delay block and the ``(I, O, chunk)`` block of
-output arrivals, so its traced peak is bounded by
+``simulate_io_delays`` splits each sampled ``(E, chunk)`` block's
+columns across the fold threads, and each thread folds its columns in
+slices whose ``(slots, I, w)`` arrival state — one row per live slot of
+the fold, not per vertex — and per-level candidate/accumulator blocks fit
+its even share of the chunk budget
+(:func:`~repro.montecarlo.flat.mc_chunk_budget`).  The threads allocate
+those buffers inside each chunk's fold, so they are freed before the
+block reductions.  Beyond the budget a run holds only the sampled delay
+block and the ``(I, O, chunk)`` block of output arrivals, so its traced
+peak is bounded by
 
     budget + (E, chunk) + (I, O, chunk) + slack
 
 where the slack covers one more ``(E, chunk)`` copy (the sampler
-concatenates a multi-block chunk from its per-block draws) plus 2 MiB of
-small per-block temporaries.  ``tracemalloc`` sees numpy's buffers, so the
+concatenates a multi-block chunk from its per-block draws, and the
+threads' ``(E, w)`` delay slices together span at most one chunk) plus
+2 MiB of small per-block temporaries.  The bound is the same for one
+fold thread and for two.  ``tracemalloc`` sees numpy's buffers, so the
 bound is checked on allocated bytes, independently of the allocator and
 the page cache.  A dense ``(V, I, chunk)`` arrival tensor — the
 multi-source kernel before the sliced fold — breaks the bound several
@@ -23,6 +29,7 @@ import tracemalloc
 import pytest
 
 from repro.liberty import standard_library
+from repro.parallel import threads
 from repro.montecarlo.flat import (
     MC_SAMPLE_BLOCK,
     mc_chunk_budget,
@@ -72,13 +79,19 @@ def _bound(arrays, chunk):
 
 
 @pytest.mark.parametrize(
-    "budget, chunk_size",
-    [("200000", None), (None, 1024)],
-    ids=["small-budget", "chunk-1024"],
+    "budget, chunk_size, num_threads",
+    [("200000", None, 1), (None, 1024, 1), ("200000", None, 2), (None, 1024, 2)],
+    ids=[
+        "small-budget",
+        "chunk-1024",
+        "small-budget-2-threads",
+        "chunk-1024-2-threads",
+    ],
 )
 def test_traced_peak_stays_within_budget(
-    mid_size_graph, monkeypatch, budget, chunk_size
+    mid_size_graph, monkeypatch, budget, chunk_size, num_threads
 ):
+    monkeypatch.setattr(threads, "thread_count", lambda: num_threads)
     if budget is None:
         monkeypatch.delenv("REPRO_MC_CHUNK_BUDGET", raising=False)
     else:
