@@ -9,9 +9,12 @@ stamped with ``cpu_count`` and the worker count):
   the parallel samples must be *bitwise* identical to the serial run;
   given that, the speedup floor scales with the worker count (>= 1.3x at
   2 workers, >= 2.5x at 4; ``REPRO_PARALLEL_SPEEDUP_MIN`` overrides,
-  ``REPRO_PARALLEL_BENCH_WORKERS`` pins the pool size).  Hosts with a
-  single CPU still record the parity and timing numbers but skip the
-  speedup assertion — there is no parallelism to measure.
+  ``REPRO_PARALLEL_BENCH_WORKERS`` pins the pool size).  The serial
+  reference runs on one thread (``thread_count`` patched to 1), because
+  the in-process simulation itself spreads its sample range over the
+  cores; the threaded in-process time is recorded beside it, ungated.
+  Hosts with a single CPU still record the parity and timing numbers but
+  skip the speedup assertion — there is no parallelism to measure.
 * **sharded corner sweep on c7552** — one deterministic evaluation per
   corner; asserted bit-identical to the serial sweep (the per-corner
   propagation is far too cheap on c7552 for the pool to pay off, so no
@@ -33,6 +36,7 @@ from conftest import record_bench
 from repro.liberty.library import standard_library
 from repro.montecarlo.flat import simulate_graph_delay
 from repro.netlist.iscas85 import iscas85_surrogate
+from repro.parallel import threads
 from repro.parallel.pool import ShardedExecutor
 from repro.placement.placer import place_netlist
 from repro.timing.builder import build_timing_graph, default_variation_for
@@ -78,7 +82,9 @@ def _median_seconds(fn, repeats):
     return seconds[len(seconds) // 2]
 
 
-def test_sharded_monte_carlo_speedup_on_c7552(benchmark, c7552_graph, pool_executor):
+def test_sharded_monte_carlo_speedup_on_c7552(
+    benchmark, c7552_graph, pool_executor, monkeypatch
+):
     """Acceptance check: bit-identical sharded MC, near-linear scaling."""
     cpu_count = os.cpu_count() or 1
     workers = pool_executor.workers
@@ -100,6 +106,11 @@ def test_sharded_monte_carlo_speedup_on_c7552(benchmark, c7552_graph, pool_execu
         )
 
     def serial():
+        with monkeypatch.context() as patch:
+            patch.setattr(threads, "thread_count", lambda: 1)
+            return simulate_graph_delay(graph, MC_SAMPLES, seed=11)
+
+    def threaded():
         return simulate_graph_delay(graph, MC_SAMPLES, seed=11)
 
     def parallel():
@@ -113,14 +124,17 @@ def test_sharded_monte_carlo_speedup_on_c7552(benchmark, c7552_graph, pool_execu
     sharded = parallel()
     # Parity is asserted unconditionally — including on single-CPU hosts.
     assert np.array_equal(reference.samples, sharded.samples)
+    assert np.array_equal(reference.samples, threaded().samples)
 
     serial_seconds = _median_seconds(serial, 3)
     parallel_seconds = _median_seconds(parallel, 3)
+    threaded_seconds = _median_seconds(threaded, 3)
     speedup = serial_seconds / parallel_seconds
 
     snapshot = next(iter(pool_executor._published.values()))[1]
     benchmark.extra_info["serial_s"] = round(serial_seconds, 3)
     benchmark.extra_info["parallel_s"] = round(parallel_seconds, 3)
+    benchmark.extra_info["threaded_s"] = round(threaded_seconds, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["workers"] = workers
     record_bench(
@@ -131,6 +145,7 @@ def test_sharded_monte_carlo_speedup_on_c7552(benchmark, c7552_graph, pool_execu
             "edges": graph.num_edges,
             "serial_seconds": round(serial_seconds, 4),
             "parallel_seconds": round(parallel_seconds, 4),
+            "threaded_seconds": round(threaded_seconds, 4),
             "speedup": round(speedup, 2),
             "threshold": threshold,
             "bit_identical": True,

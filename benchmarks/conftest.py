@@ -13,8 +13,10 @@ samples for Fig. 7).
 
 from __future__ import annotations
 
+import datetime
 import json
 import os
+import subprocess
 from typing import Optional
 
 import pytest
@@ -22,9 +24,31 @@ import pytest
 from repro.core.backend import resolve_backend
 from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
 from repro.experiments.table1 import TABLE1_CIRCUITS, TABLE1_DEFAULT_SUBSET
+from repro.parallel import threads
 
 #: Repository root, where the ``BENCH_*.json`` records live.
 BENCH_RECORD_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _git_sha() -> Optional[str]:
+    """The checked-out commit of the repository, or ``None`` outside git."""
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=BENCH_RECORD_DIR,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return completed.stdout.strip() or None
+
+
+def _blas_threads() -> Optional[int]:
+    """numpy's OpenBLAS thread count, or ``None`` when it cannot be read."""
+    _setter, getter, _reason = threads._openblas_controls()
+    return None if getter is None else int(getter())
 
 
 def record_bench(
@@ -37,11 +61,23 @@ def record_bench(
     judged against the parallelism that was actually available, plus the
     kernel ``backend`` that resolved (``REPRO_BACKEND`` environment
     included) so compiled-tier and numpy-tier numbers are never conflated.
+    It also carries the ``git_sha`` of the checkout, a UTC ``timestamp``,
+    the in-process ``threads`` (:func:`repro.parallel.threads.thread_count`)
+    and the OpenBLAS ``blas_threads`` at the time of recording.
+
+    ``record[key]`` is the latest payload; every payload is also appended
+    to ``record["history"][key]``, so the file keeps the trajectory.
     """
     path = os.path.join(BENCH_RECORD_DIR, filename)
     payload = dict(payload)
     payload["cpu_count"] = os.cpu_count()
     payload["backend"] = resolve_backend().backend
+    payload["git_sha"] = _git_sha()
+    payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
+        timespec="seconds"
+    )
+    payload["threads"] = threads.thread_count()
+    payload["blas_threads"] = _blas_threads()
     if workers is not None:
         payload["workers"] = int(workers)
     record = {}
@@ -52,6 +88,7 @@ def record_bench(
         except (OSError, ValueError):
             record = {}
     record[key] = payload
+    record.setdefault("history", {}).setdefault(key, []).append(payload)
     with open(path, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")

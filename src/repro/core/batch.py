@@ -77,6 +77,11 @@ __all__ = [
 
 _THETA_EPSILON = 1e-12
 
+#: Float64 elements of the private-noise slab :meth:`CanonicalBatch.sample`
+#: allocates (512 KiB): the noise is drawn and added this many values at a
+#: time instead of as one ``(N, S)`` temporary.
+_NOISE_SLAB_FLOATS = 1 << 16
+
 Number = Union[int, float]
 
 
@@ -840,25 +845,48 @@ class CanonicalBatch:
         One standard normal vector is drawn per correlated component and
         shared across the batch (capturing the global/local correlation
         structure); private noise is drawn only for entries with a non-zero
-        private variance.
+        private variance.  The draw itself is :meth:`_sample_into` over
+        freshly allocated buffers.
         """
+        num_samples = int(num_samples)
+        out = np.empty((len(self), num_samples))
+        slab = np.empty(max(_NOISE_SLAB_FLOATS, num_samples))
+        self._sample_into(rng, out, slab)
+        return out
+
+    def _sample_into(
+        self, rng: np.random.Generator, out: np.ndarray, slab: np.ndarray
+    ) -> np.ndarray:
+        """The draw of :meth:`sample`, written into ``out`` (``(N, S)``).
+
+        ``slab`` is a flat float64 scratch buffer of at least ``S``
+        elements.  The private noise is drawn into it in row slabs of
+        ``len(slab) // S`` rows and added slab by slab: a C-order ``(N, S)``
+        draw and its successive row slabs consume the same stream, so the
+        values are bitwise those of one whole-block draw, without an
+        ``(N, S)`` noise temporary.  ``out`` may be a column window of a
+        larger buffer.
+        """
+        num_samples = out.shape[1]
         correlated = rng.standard_normal((self.num_corr, num_samples))
-        values = self._corr @ correlated
-        values += self._mean[:, np.newaxis]
+        np.matmul(self._corr, correlated, out=out)
+        out += self._mean[:, np.newaxis]
         random_sigma = np.sqrt(np.maximum(self._randvar, 0.0))
         nonzero = random_sigma > 0.0
-        if nonzero.all():
-            # Every entry draws, so the masked gather/scatter below would
-            # copy the full (N, S) block twice for nothing — at million-row
-            # blocks that traffic dominates the draw itself.  Same stream
-            # consumption, bit-identical values.
-            noise = rng.standard_normal((len(self), num_samples))
-            noise *= random_sigma[:, np.newaxis]
-            values += noise
-        elif nonzero.any():
-            noise = rng.standard_normal((int(nonzero.sum()), num_samples))
-            values[nonzero] += random_sigma[nonzero, np.newaxis] * noise
-        return values
+        # Every entry draws: contiguous row ranges replace the masked
+        # gather/scatter (same stream consumption, bit-identical values).
+        every = bool(nonzero.all())
+        rows = None if every else np.flatnonzero(nonzero)
+        count = len(self) if every else rows.shape[0]
+        slab_rows = max(1, slab.shape[0] // max(num_samples, 1))
+        for low in range(0, count, slab_rows):
+            high = min(low + slab_rows, count)
+            noise = slab[: (high - low) * num_samples].reshape(high - low, num_samples)
+            rng.standard_normal(out=noise)
+            part = slice(low, high) if every else rows[low:high]
+            noise *= random_sigma[part, np.newaxis]
+            out[part] += noise
+        return out
 
     def sample_at(
         self,

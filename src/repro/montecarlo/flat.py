@@ -10,10 +10,12 @@ Sampling is **counter-based per block**: the sample axis is divided into
 fixed :data:`MC_SAMPLE_BLOCK`-sample blocks and block ``b`` is drawn from
 its own keyed stream ``(seed, 2, b)``.  A block's draws therefore depend
 only on the seed and the block index — never on the chunk size, the number
-of workers, or which process draws it — so the one-shot simulators are
-bit-identical across chunkings and across any sharding of the sample axis
-(see :mod:`repro.parallel`).  Per-pair moments accumulate per block in
-ascending block order for the same reason.
+of workers or threads, or which process or thread draws it — so the
+one-shot simulators are bit-identical across chunkings and across any
+sharding of the sample axis (see :mod:`repro.parallel`); the single-source
+simulator spreads block-aligned sample spans over the cores' threads.
+Per-pair moments accumulate per block in ascending block order for the
+same reason.
 
 Two propagation engines share the public API, mirroring the levelized /
 object split of :mod:`repro.timing.propagation`:
@@ -54,6 +56,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.backend import flat_fold_schedule, get_kernel
+from repro.core.batch import _NOISE_SLAB_FLOATS
 from repro.errors import TimingGraphError
 from repro.parallel import threads
 from repro.timing.arrays import GraphArrays
@@ -87,7 +90,10 @@ AUTO_LEVELIZED_MIN_EDGES = AUTO_BATCH_MIN_EDGES // 16
 #: It sets two sizes.  The *sampling chunk* (:func:`auto_chunk_size`) is
 #: the number of samples drawn as one ``(E, chunk)`` delay block; it never
 #: drops below one whole :data:`MC_SAMPLE_BLOCK`, so on wide multi-source
-#: graphs the block alone may exceed the budget.  The *fold width* of the
+#: graphs the block alone may exceed the budget.  The single-source
+#: simulation runs one sample span per thread, each with its own delay and
+#: arrival chunk, so there each thread's chunk is sized from its even share
+#: of the budget (``budget // threads``).  The *fold width* of the
 #: multi-source kernel (:func:`_fold_width`) is the number of sample
 #: columns one fold thread folds at once.  The budget is split evenly
 #: across the fold threads, and each thread's ``(slots, I, width)``
@@ -156,11 +162,14 @@ def auto_chunk_size(
     would stay within the active budget (:func:`mc_chunk_budget`), clipped
     to ``[MC_MIN_CHUNK, MC_MAX_CHUNK]`` and to ``num_samples``.  That
     models the single-source kernel, whose arrival state is
-    ``(V, chunk)``.  The multi-source kernel of :func:`simulate_io_delays`
-    folds each chunk in narrower sample-column slices sized by the same
-    budget (:func:`_fold_width`), so its arrival state never scales with
-    the chunk; there the rule only sets how many samples are drawn at a
-    time.
+    ``(V, chunk)``.  :func:`simulate_graph_delay` spreads its sample range
+    over the threads and applies this rule to each thread's even share of
+    the budget (``mc_chunk_budget() // threads``), since every thread holds
+    its own chunk of delays and arrivals.  The multi-source kernel of
+    :func:`simulate_io_delays` folds each chunk in narrower sample-column
+    slices sized by the same budget (:func:`_fold_width`), so its arrival
+    state never scales with the chunk; there the rule only sets how many
+    samples are drawn at a time.
 
     The chunk is **block-aligned**: the counter-based sampler always
     materialises whole :data:`MC_SAMPLE_BLOCK`-sample blocks and slices the
@@ -174,8 +183,21 @@ def auto_chunk_size(
     chunks round down to block multiples; ``num_samples`` clips last, so
     short runs still use a single exact-sized chunk.
     """
+    return _budget_chunk_size(
+        mc_chunk_budget(), num_edges, num_vertices, num_sources, num_samples
+    )
+
+
+def _budget_chunk_size(
+    budget: int,
+    num_edges: int,
+    num_vertices: int,
+    num_sources: int,
+    num_samples: Optional[int],
+) -> int:
+    """The :func:`auto_chunk_size` rule for an explicit float ``budget``."""
     per_sample = num_edges + (num_vertices + num_edges) * max(int(num_sources), 1)
-    budget_chunk = int(mc_chunk_budget() // max(per_sample, 1))
+    budget_chunk = int(budget // max(per_sample, 1))
     chunk = min(MC_MAX_CHUNK, max(MC_MIN_CHUNK, budget_chunk))
     chunk = min(chunk, max(budget_chunk, 1))
     if chunk < MC_SAMPLE_BLOCK:
@@ -187,19 +209,35 @@ def auto_chunk_size(
     return max(chunk, 1)
 
 
+def _check_chunk_size(chunk_size: Optional[int]) -> None:
+    """Raise on a non-positive ``chunk_size`` or, for ``None``, a bad budget."""
+    if chunk_size is None:
+        mc_chunk_budget()
+    elif chunk_size <= 0:
+        raise ValueError("chunk_size must be positive")
+
+
 def _resolve_chunk_size(
     chunk_size: Optional[int],
     arrays: GraphArrays,
     num_sources: int,
     num_samples: int,
+    shares: int = 1,
 ) -> int:
-    """An explicit ``chunk_size`` wins; ``None`` auto-sizes from the graph."""
+    """An explicit ``chunk_size`` wins; ``None`` auto-sizes from the graph.
+
+    The auto rule gets one of ``shares`` even shares of
+    :func:`mc_chunk_budget` (one share per thread).
+    """
     if chunk_size is not None:
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
+        _check_chunk_size(chunk_size)
         return int(chunk_size)
-    return auto_chunk_size(
-        arrays.edge_mean.shape[0], arrays.num_vertices, num_sources, num_samples
+    return _budget_chunk_size(
+        mc_chunk_budget() // shares,
+        arrays.edge_mean.shape[0],
+        arrays.num_vertices,
+        num_sources,
+        num_samples,
     )
 
 
@@ -320,7 +358,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _sample_delay_range(
-    arrays: GraphArrays, seed: int, num_samples: int, start: int, stop: int
+    arrays: GraphArrays,
+    seed: int,
+    num_samples: int,
+    start: int,
+    stop: int,
+    out: Optional[np.ndarray] = None,
+    slab: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sampled edge delays of samples ``[start, stop)``, ``(E, stop-start)``.
 
@@ -329,20 +373,35 @@ def _sample_delay_range(
     from its own stream and the requested window is sliced out, so the
     values of any sample depend only on ``(seed, num_samples)`` — never on
     the chunking or sharding that requested them.
+
+    The draws are written into ``out`` (allocated when omitted): a block
+    the window covers whole is drawn straight into its columns by
+    :meth:`~repro.core.batch.CanonicalBatch._sample_into`, with the private
+    noise staged through the flat ``slab`` buffer, so a caller that reuses
+    ``out`` and ``slab`` draws without allocating.  A block the window cuts
+    (a sub-block chunk) is drawn whole into a temporary and the window is
+    copied out.
     """
     batch = arrays.edge_batch
-    parts = []
+    if out is None:
+        out = np.empty((len(batch), stop - start))
+    if slab is None:
+        slab = np.empty(_NOISE_SLAB_FLOATS)
     block = start // MC_SAMPLE_BLOCK
     last = (stop - 1) // MC_SAMPLE_BLOCK
     while block <= last:
         low = block * MC_SAMPLE_BLOCK
         high = min(low + MC_SAMPLE_BLOCK, num_samples)
-        draws = batch.sample(_block_rng(seed, block), high - low)
-        parts.append(draws[:, max(start, low) - low : min(stop, high) - low])
+        window = slice(max(start, low) - start, min(stop, high) - start)
+        rng = _block_rng(seed, block)
+        if low >= start and high <= stop:
+            batch._sample_into(rng, out[:, window], slab)
+        else:
+            draws = batch.sample(rng, high - low)
+            shift = start - low
+            out[:, window] = draws[:, window.start + shift : window.stop + shift]
         block += 1
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts, axis=1)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +432,6 @@ def _longest_paths_object(
             candidate = source_arrival + delays[edge_row]
             np.maximum(arrivals[vertex_row], candidate, out=arrivals[vertex_row])
     return arrivals
-
-
-# Backwards-compatible alias of the reference kernel.
-_longest_paths = _longest_paths_object
 
 
 def _level_fanin(
@@ -520,8 +575,8 @@ class _ForwardSchedule:
     """Round-scheduled fold plan of the forward levels (Monte Carlo view).
 
     ``perm`` lists every edge row once, in fold order (level by level,
-    round by round), so ``delays[perm]`` turns all per-round delay lookups
-    into contiguous slices.  ``levels[k]`` is ``(vertex_rows, rounds)``
+    round by round): round ``r`` of a level reads the delay rows
+    ``perm[offset : offset + count]``.  ``levels[k]`` is ``(vertex_rows, rounds)``
     with ``rounds`` a list of ``(source_rows, offset, count)``: round
     ``r`` folds the ``r``-th fanin edge of the level's leading ``count``
     vertices (vertices are pre-sorted by descending degree, so round
@@ -601,63 +656,72 @@ def _slot_plan_for(
     return plan
 
 
-def _fold_level_rounds(arrivals, permuted_delays, rounds):
-    """Fold one level's rounds into a fresh accumulator block.
-
-    Round 0 covers every vertex of the level, so the accumulator is fully
-    initialised before its first read; later rounds max into the prefix
-    ``[:count]``.
-    """
-    acc = None
-    for source_rows, offset, count in rounds:
-        candidates = arrivals[source_rows]
-        candidates += permuted_delays[offset : offset + count]
-        if acc is None:
-            acc = candidates
-        else:
-            np.maximum(acc[:count], candidates, out=acc[:count])
-    return acc
-
-
 def _longest_paths_levelized(
     arrays: GraphArrays,
     delays: np.ndarray,
     source_rows: np.ndarray,
     backend: Optional[str] = None,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Level-scheduled longest paths from a single set of sources.
 
     Bit-identical to :func:`_longest_paths_object` (``+`` and ``max`` are
     exact, so the per-vertex fold order is immaterial), but each level's
-    fanin edges are folded as whole prefix rounds over the pre-permuted
-    delay matrix instead of a per-vertex Python loop.  When the compiled
-    backend resolves, the whole propagation runs as one fused nopython
-    sweep over the flat fold plan instead — still bitwise identical.
+    fanin edges are folded as whole prefix rounds instead of a per-vertex
+    Python loop.  Each round gathers its source arrivals and its delay
+    rows (``_ForwardSchedule.perm`` names them) straight from the
+    unpermuted ``(E, S)`` block into level-sized scratch, so no permuted
+    copy of the block is made.  When the compiled backend resolves, the
+    whole propagation runs as one fused nopython sweep over the flat fold
+    plan instead — still bitwise identical.
+
+    The ``(V, S)`` arrivals are written into ``out`` and the level scratch
+    lives in ``scratch`` (``(3, max_level_rows * S)`` floats, see
+    :func:`_fold_scratch`); both are allocated when omitted.
     """
+    num_vertices = arrays.num_vertices
+    num_samples = delays.shape[1]
+    arrivals = np.empty((num_vertices, num_samples)) if out is None else out
+    arrivals.fill(_NEG_INF)
+    arrivals[source_rows] = 0.0
+    is_source = np.zeros(num_vertices, dtype=bool)
+    is_source[source_rows] = True
     kernel = get_kernel("mc_longest_paths", backend)
     if kernel.backend == "numba":
         flat = flat_fold_schedule(arrays, "forward")
-        arrivals = np.full(
-            (arrays.num_vertices, 1, delays.shape[1]), _NEG_INF
-        )
-        arrivals[source_rows, 0] = 0.0
-        is_source = np.zeros(arrays.num_vertices, dtype=bool)
-        is_source[source_rows] = True
         kernel.function(
             flat.level_ptr, flat.vertices, flat.edge_ptr, flat.edge_rows,
-            arrays.edge_source, delays, arrivals, is_source,
+            arrays.edge_source, delays,
+            arrivals.reshape(num_vertices, 1, num_samples), is_source,
         )
-        return arrivals[:, 0, :]
+        return arrivals
     schedule = _forward_schedule(arrays)
-    num_samples = delays.shape[1]
-    arrivals = np.full((arrays.num_vertices, num_samples), _NEG_INF)
-    arrivals[source_rows] = 0.0
-    is_source = np.zeros(arrays.num_vertices, dtype=bool)
-    is_source[source_rows] = True
-    permuted_delays = delays[schedule.perm]
+    perm = schedule.perm
+    if scratch is None:
+        scratch = _fold_scratch(arrays, num_samples)
+    acc_buffer, cand_buffer, delay_buffer = scratch
 
     for rows, rounds in schedule.levels:
-        acc = _fold_level_rounds(arrivals, permuted_delays, rounds)
+        acc = acc_buffer[: rows.shape[0] * num_samples].reshape(-1, num_samples)
+        # Round 0 covers every vertex of the level, so it initialises acc.
+        for round_index, (round_sources, offset, count) in enumerate(rounds):
+            candidates = acc
+            if round_index:
+                candidates = cand_buffer[: count * num_samples].reshape(
+                    count, num_samples
+                )
+            gathered = delay_buffer[: count * num_samples].reshape(
+                count, num_samples
+            )
+            np.take(arrivals, round_sources, axis=0, out=candidates, mode="clip")
+            np.take(
+                delays, perm[offset : offset + count], axis=0, out=gathered,
+                mode="clip",
+            )
+            candidates += gathered
+            if round_index:
+                np.maximum(acc[:count], candidates, out=acc[:count])
         seeded = is_source[rows]
         if seeded.any():
             # An input vertex with fanin keeps its 0.0 seed in the fold.
@@ -672,6 +736,15 @@ def _max_level_rows(arrays: GraphArrays) -> int:
         (level.vertex_rows.shape[0] for level in arrays.forward_levels()),
         default=0,
     )
+
+
+def _fold_scratch(arrays: GraphArrays, num_samples: int) -> np.ndarray:
+    """Level scratch of :func:`_longest_paths_levelized` for ``num_samples``.
+
+    Three ``max_level_rows * num_samples`` rows: the level accumulator, a
+    later round's candidates and the round's gathered delay rows.
+    """
+    return np.empty((3, _max_level_rows(arrays) * num_samples))
 
 
 def _fold_width(arrays: GraphArrays, num_sources: int, chunk: int) -> int:
@@ -854,7 +927,7 @@ def _simulate_delay_range(
     num_samples: int,
     start: int,
     stop: int,
-    chunk_size: int,
+    chunk_size: Optional[int],
     levelized: bool = True,
     backend: Optional[str] = None,
 ) -> np.ndarray:
@@ -864,22 +937,77 @@ def _simulate_delay_range(
     exact (``max`` and ``+`` have no rounding), so any partitioning of the
     sample axis into ranges — and any chunking within a range — reproduces
     the same values bit for bit (backends included).
+
+    The range is split into block-aligned spans, one per thread
+    (:func:`~repro.parallel.threads.thread_count`), and each thread draws
+    and folds its span chunk by chunk into its own samples.  Every
+    :data:`MC_SAMPLE_BLOCK`-sample block has its own keyed stream, so no
+    two threads share a generator.  Each thread reuses buffers allocated
+    here, on the calling thread: the ``(E, chunk)`` delays, the
+    ``(V, chunk)`` arrivals, the level scratch and a noise slab.  An
+    explicit ``chunk_size`` wins; ``None`` applies the
+    :func:`auto_chunk_size` rule to each thread's even share of the
+    budget.  The sampler's matmul is BLAS, so the spans run with BLAS
+    pinned to one thread; when it cannot be pinned the range runs as one
+    span.
     """
+    from repro.parallel.shard import partition_samples
+
     input_rows = arrays.input_rows
     output_rows = arrays.output_rows
+    num_edges = arrays.edge_mean.shape[0]
+    num_vertices = arrays.num_vertices
     samples = np.empty(stop - start, dtype=float)
-    done = start
-    while done < stop:
-        chunk = min(chunk_size, stop - done)
-        delays = _sample_delay_range(arrays, seed, num_samples, done, done + chunk)
-        if levelized:
-            arrivals = _longest_paths_levelized(arrays, delays, input_rows, backend)
-        else:
-            arrivals = _longest_paths_object(arrays, delays, input_rows)
-        samples[done - start : done - start + chunk] = arrivals[output_rows].max(
-            axis=0
+    with threads.single_blas_thread() as pinned:
+        spans = [
+            (start + low, start + high)
+            for low, high in partition_samples(
+                stop - start,
+                threads.thread_count() if pinned else 1,
+                MC_SAMPLE_BLOCK,
+            )
+        ]
+        longest = spans[0][1] - spans[0][0]
+        chunk = min(
+            longest,
+            _resolve_chunk_size(chunk_size, arrays, 1, longest, len(spans)),
         )
-        done += chunk
+        # One row of each buffer per thread, allocated here on the calling
+        # thread: allocations made inside worker threads land in per-thread
+        # malloc arenas that keep the freed pages resident.
+        delay_rows = np.empty((len(spans), num_edges * chunk))
+        slab_rows = np.empty((len(spans), _NOISE_SLAB_FLOATS))
+        if levelized:
+            _forward_schedule(arrays)  # built once, before the threads read it
+            arrival_rows = np.empty((len(spans), num_vertices * chunk))
+            scratch_rows = [_fold_scratch(arrays, chunk) for _span in spans]
+
+        def run_span(thread: int) -> None:
+            low, high = spans[thread]
+            for done in range(low, high, chunk):
+                cols = min(chunk, high - done)
+                delays = _sample_delay_range(
+                    arrays, seed, num_samples, done, done + cols,
+                    out=delay_rows[thread, : num_edges * cols].reshape(
+                        num_edges, cols
+                    ),
+                    slab=slab_rows[thread],
+                )
+                if levelized:
+                    arrivals = _longest_paths_levelized(
+                        arrays, delays, input_rows, backend,
+                        out=arrival_rows[thread, : num_vertices * cols].reshape(
+                            num_vertices, cols
+                        ),
+                        scratch=scratch_rows[thread],
+                    )
+                else:
+                    arrivals = _longest_paths_object(arrays, delays, input_rows)
+                samples[done - start : done - start + cols] = arrivals[
+                    output_rows
+                ].max(axis=0)
+
+        threads.map_ordered(run_span, range(len(spans)))
     return samples
 
 
@@ -912,7 +1040,17 @@ def simulate_graph_delay(
     levelized kernel, the object-level reference loop or a size-based
     choice (``"auto"``).  Sampling is counter-based per block, so the
     samples depend only on ``(seed, num_samples)`` — both engines, every
-    chunk size and every worker count produce bit-identical samples.
+    chunk size, thread count and worker count produce bit-identical
+    samples.
+
+    In-process, the sample range is split into block-aligned spans, one
+    per thread (:func:`~repro.parallel.threads.thread_count`), run with
+    BLAS pinned to one thread (serially when it cannot be pinned).  Each
+    thread draws and folds its span over buffers allocated once per call
+    — ``(E, chunk)`` delays, ``(V, chunk)`` arrivals, level scratch and a
+    noise slab — with an auto chunk sized from its share of the budget
+    (:func:`mc_chunk_budget` ``// threads``); see
+    :func:`_simulate_delay_range`.
 
     ``workers`` (or the ``REPRO_WORKERS`` environment variable, or an
     explicit :class:`~repro.parallel.pool.ShardedExecutor` via
@@ -937,7 +1075,8 @@ def simulate_graph_delay(
     start = time.perf_counter()
     if arrays is None:
         arrays = GraphArrays.from_graph(graph)
-    chunk_size = _resolve_chunk_size(chunk_size, arrays, 1, num_samples)
+    # Each range resolves an auto chunk (None) from its own thread count.
+    _check_chunk_size(chunk_size)
     executor = maybe_executor(workers, executor)
     if executor is not None and executor.engine != "process":
         executor = None  # graceful serial fallback (bit-identical)

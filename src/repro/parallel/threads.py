@@ -2,9 +2,15 @@
 
 The process pool (:mod:`repro.parallel.pool`) shards whole analyses; this
 module lets one analysis spread its own independent chunks — criticality
-edge chunks, Monte Carlo fold slices — over the cores of the calling
-process.  NumPy releases the interpreter lock inside its array loops and
-BLAS calls, so a few threads over large array operations overlap well.
+edge chunks, multi-source Monte Carlo fold slices, single-source Monte
+Carlo sample spans — over the cores of the calling process.  The
+single-source spans are block-aligned, so every counter-keyed sampling
+block (and its generator) belongs to one thread, and each thread draws and
+folds over buffers the calling thread allocated; an auto-sized chunk comes
+from the thread's even share of the Monte Carlo budget
+(``mc_chunk_budget() // thread_count()``).  NumPy releases the interpreter
+lock inside its array loops and BLAS calls, so a few threads over large
+array operations overlap well.
 
 * :func:`thread_count` is the CPU-affinity count, and 1 inside a daemonic
   pool worker (the rule :func:`repro.parallel.pool.maybe_executor` uses

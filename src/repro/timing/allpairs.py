@@ -34,24 +34,26 @@ Two entry points share the tensors:
 
 Engine selection
 ----------------
-The from-scratch analysis has two engines behind
-:meth:`AllPairsTiming.analyze`:
+Both engines of :meth:`AllPairsTiming.analyze` run one kernel, the
+levelized column fold of :mod:`repro.timing.propagation`
+(:meth:`AllPairsTiming._column_block`); they differ in what they keep:
 
-* ``"dense"`` — the original per-vertex pass that materialises the full
-  ``(V, I)`` arrival and ``(V, O)`` to-output tensors (the layout every
-  incremental session and the extraction/criticality consumers read);
-* ``"blocked"`` — a levelized pass that sweeps the input (output) columns
-  in budget-sized blocks of ``B`` columns through the shared fold of
-  :mod:`repro.timing.propagation`, assembling the ``(I, O)`` delay matrix
-  without ever holding more than ``(V, B)`` state — the engine that keeps
-  10^5-10^6-edge designs inside a fixed memory budget.
+* ``"dense"`` — one forward pass over every input column and one backward
+  pass over every output column, folded straight into the full ``(V, I)``
+  arrival and ``(V, O)`` to-output tensors (the layout every incremental
+  session and the extraction/criticality consumers read), with the delay
+  matrix taken from the output rows;
+* ``"blocked"`` — a matrix-only stream that sweeps the input columns in
+  budget-sized blocks of ``B`` columns, assembling the ``(I, O)`` delay
+  matrix without ever holding more than ``(V, B)`` state — the engine
+  that keeps 10^5-10^6-edge designs inside a fixed memory budget.
 
 ``"auto"`` (the default) picks ``"dense"`` while the dense tensors fit the
 float budget of :func:`allpairs_budget_floats` (env
-``REPRO_ALLPAIRS_BUDGET_FLOATS``) and ``"blocked"`` above it.  Both fold
-every vertex's candidate edges in the identical order, so their matrices
-agree to 1e-9 (asserted by the parity tests up to generated 10^5-edge
-designs).
+``REPRO_ALLPAIRS_BUDGET_FLOATS``) and ``"blocked"`` above it.  Every vertex
+folds its candidate edges in the same order whatever the column blocking,
+so the two matrices agree bitwise (asserted at 1e-9 by the parity tests up
+to generated 10^5-edge designs).
 """
 
 from __future__ import annotations
@@ -228,9 +230,7 @@ class AllPairsTiming:
             engine = "dense" if footprint <= allpairs_budget_floats() else "blocked"
         if engine == "dense":
             analysis = cls(arrays)
-            analysis._propagate_forward()
-            analysis._propagate_backward()
-            analysis._extract_matrix()
+            analysis._analyze_dense()
         else:
             analysis = cls(arrays, materialize=False)
             analysis._analyze_blocked(block_columns)
@@ -253,15 +253,17 @@ class AllPairsTiming:
         positions: range,
         backward: bool,
         work: FoldWorkspace,
+        out: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One blocked levelized pass over ``B = len(positions)`` columns.
 
         Returns ``(mean, corr, randvar, valid)`` of shape ``(V, B, ...)``:
         column ``b`` is the arrival-from-input (or delay-to-output) state of
-        input (output) position ``positions[b]``.  The per-vertex seed—zeros,
-        valid only at the vertex's own column—and the per-vertex candidate
-        fold order are exactly those of the dense engine, so the two engines
-        agree to round-off.
+        input (output) position ``positions[b]``.  The per-vertex seed is
+        zeros, valid only at the vertex's own column, and each vertex folds
+        its candidate edges in fanin (fanout) order after its seed, so any
+        column blocking gives the same values.  The state is written into
+        ``out`` when given (the dense tensors), else into ``work`` views.
         """
         # The blocked state is (V, B): the fold body broadcasts the edge
         # delays across the column axis (see _fold_rounds).
@@ -273,10 +275,14 @@ class AllPairsTiming:
         index = arrays.vertex_index
         names = self.outputs if backward else self.inputs
 
-        mean = work.view("block_mean", (num_vertices, width))
-        corr = work.view("block_corr", (num_vertices, width, arrays.num_corr))
-        randvar = work.view("block_randvar", (num_vertices, width))
-        valid = work.view("block_valid", (num_vertices, width), dtype=bool)
+        if out is None:
+            out = (
+                work.view("block_mean", (num_vertices, width)),
+                work.view("block_corr", (num_vertices, width, arrays.num_corr)),
+                work.view("block_randvar", (num_vertices, width)),
+                work.view("block_valid", (num_vertices, width), dtype=bool),
+            )
+        mean, corr, randvar, valid = out
         mean.fill(0.0)
         corr.fill(0.0)
         randvar.fill(0.0)
@@ -329,97 +335,43 @@ class AllPairsTiming:
             mean, corr, randvar, valid = self._column_block(positions, True, work)
             yield positions, mean, corr, randvar, valid
 
+    def _store_matrix_rows(
+        self, positions: range, mean, corr, randvar, valid
+    ) -> None:
+        """Copy the output rows of an arrival block into the delay matrix."""
+        output_rows = self.arrays.output_rows
+        rows = slice(positions.start, positions.stop)
+        self.matrix_mean[rows] = mean[output_rows].T
+        self.matrix_corr[rows] = corr[output_rows].transpose(1, 0, 2)
+        self.matrix_randvar[rows] = randvar[output_rows].T
+        self.matrix_valid[rows] = valid[output_rows].T
+
     def _analyze_blocked(self, block_columns: Optional[int]) -> None:
         """Assemble the delay matrix from blocked forward column sweeps."""
-        output_rows = self.arrays.output_rows
-        for positions, mean, corr, randvar, valid in self.iter_arrival_blocks(
-            block_columns
-        ):
-            rows = slice(positions.start, positions.stop)
-            self.matrix_mean[rows] = mean[output_rows].T
-            self.matrix_corr[rows] = corr[output_rows].transpose(1, 0, 2)
-            self.matrix_randvar[rows] = randvar[output_rows].T
-            self.matrix_valid[rows] = valid[output_rows].T
+        for block in self.iter_arrival_blocks(block_columns):
+            self._store_matrix_rows(*block)
 
-    # ------------------------------------------------------------------
-    def _propagate_forward(self) -> None:
-        arrays = self.arrays
-        graph = arrays.graph
-        index = arrays.vertex_index
+    def _analyze_dense(self) -> None:
+        """Fill the ``(V, I)`` and ``(V, O)`` tensors, then the delay matrix.
 
-        for input_position, input_name in enumerate(self.inputs):
-            self.arrival_valid[index[input_name], input_position] = True
-
-        for vertex in arrays.topo_order:
-            vertex_row = index[vertex]
-            fanin = graph.fanin_edges(vertex)
-            if not fanin:
-                continue
-            mean = self.arrival_mean[vertex_row]
-            corr = self.arrival_corr[vertex_row]
-            randvar = self.arrival_randvar[vertex_row]
-            valid = self.arrival_valid[vertex_row]
-            for edge in fanin:
-                edge_row = arrays.edge_rows[edge.edge_id]
-                source_row = arrays.edge_source[edge_row]
-                cand_mean = self.arrival_mean[source_row] + arrays.edge_mean[edge_row]
-                cand_corr = self.arrival_corr[source_row] + arrays.edge_corr[edge_row]
-                cand_randvar = (
-                    self.arrival_randvar[source_row] + arrays.edge_randvar[edge_row]
-                )
-                cand_valid = self.arrival_valid[source_row]
-                mean, corr, randvar, valid = _merge_max_with_validity(
-                    mean, corr, randvar, valid,
-                    cand_mean, cand_corr, cand_randvar, cand_valid,
-                )
-            self.arrival_mean[vertex_row] = mean
-            self.arrival_corr[vertex_row] = corr
-            self.arrival_randvar[vertex_row] = randvar
-            self.arrival_valid[vertex_row] = valid
-
-    def _propagate_backward(self) -> None:
-        arrays = self.arrays
-        graph = arrays.graph
-        index = arrays.vertex_index
-
-        for output_position, output_name in enumerate(self.outputs):
-            self.to_output_valid[index[output_name], output_position] = True
-
-        for vertex in reversed(arrays.topo_order):
-            vertex_row = index[vertex]
-            fanout = graph.fanout_edges(vertex)
-            if not fanout:
-                continue
-            mean = self.to_output_mean[vertex_row]
-            corr = self.to_output_corr[vertex_row]
-            randvar = self.to_output_randvar[vertex_row]
-            valid = self.to_output_valid[vertex_row]
-            for edge in fanout:
-                edge_row = arrays.edge_rows[edge.edge_id]
-                sink_row = arrays.edge_sink[edge_row]
-                cand_mean = self.to_output_mean[sink_row] + arrays.edge_mean[edge_row]
-                cand_corr = self.to_output_corr[sink_row] + arrays.edge_corr[edge_row]
-                cand_randvar = (
-                    self.to_output_randvar[sink_row] + arrays.edge_randvar[edge_row]
-                )
-                cand_valid = self.to_output_valid[sink_row]
-                mean, corr, randvar, valid = _merge_max_with_validity(
-                    mean, corr, randvar, valid,
-                    cand_mean, cand_corr, cand_randvar, cand_valid,
-                )
-            self.to_output_mean[vertex_row] = mean
-            self.to_output_corr[vertex_row] = corr
-            self.to_output_randvar[vertex_row] = randvar
-            self.to_output_valid[vertex_row] = valid
-
-    def _extract_matrix(self) -> None:
-        index = self.arrays.vertex_index
-        for output_position, output_name in enumerate(self.outputs):
-            output_row = index[output_name]
-            self.matrix_mean[:, output_position] = self.arrival_mean[output_row]
-            self.matrix_corr[:, output_position, :] = self.arrival_corr[output_row]
-            self.matrix_randvar[:, output_position] = self.arrival_randvar[output_row]
-            self.matrix_valid[:, output_position] = self.arrival_valid[output_row]
+        One levelized column pass over every input forward and one over
+        every output backward, each folding straight into the tensors.
+        """
+        work = FoldWorkspace()
+        inputs = range(self.num_inputs)
+        arrival = (
+            self.arrival_mean, self.arrival_corr,
+            self.arrival_randvar, self.arrival_valid,
+        )
+        self._column_block(inputs, False, work, out=arrival)
+        self._column_block(
+            range(self.num_outputs), True, work,
+            out=(
+                self.to_output_mean, self.to_output_corr,
+                self.to_output_randvar, self.to_output_valid,
+            ),
+        )
+        self._store_matrix_rows(inputs, *arrival)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -853,9 +805,7 @@ class AllPairsSession:
                 "all-pairs analysis needs designated inputs and outputs"
             )
         analysis = AllPairsTiming(self._arrays)
-        analysis._propagate_forward()
-        analysis._propagate_backward()
-        analysis._extract_matrix()
+        analysis._analyze_dense()
         self._analysis = analysis
         self._input_position = {
             self._arrays.vertex_index[name]: position

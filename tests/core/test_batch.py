@@ -329,6 +329,36 @@ class TestRawKernels:
         assert np.allclose(var_ab, var_ba, rtol=1e-9, atol=1e-12)
 
 
+def _sampling_batch(private: str, count: int) -> CanonicalBatch:
+    """A batch whose private variances are all, some or none non-zero."""
+    rng = np.random.default_rng(40)
+    randvar = rng.uniform(0.01, 0.5, count)
+    if private == "partial":
+        randvar[::3] = 0.0
+    elif private == "none":
+        randvar[:] = 0.0
+    return CanonicalBatch.from_mean_corr_randvar(
+        rng.standard_normal(count), rng.standard_normal((count, 4)), randvar
+    )
+
+
+def _allocating_draw(batch: CanonicalBatch, rng, num_samples: int) -> np.ndarray:
+    """The sampler as one whole-block draw, kept as the test oracle."""
+    correlated = rng.standard_normal((batch.num_corr, num_samples))
+    values = batch._corr @ correlated
+    values += batch._mean[:, np.newaxis]
+    random_sigma = np.sqrt(np.maximum(batch._randvar, 0.0))
+    nonzero = random_sigma > 0.0
+    if nonzero.all():
+        noise = rng.standard_normal((len(batch), num_samples))
+        noise *= random_sigma[:, np.newaxis]
+        values += noise
+    elif nonzero.any():
+        noise = rng.standard_normal((int(nonzero.sum()), num_samples))
+        values[nonzero] += random_sigma[nonzero, np.newaxis] * noise
+    return values
+
+
 class TestSampling:
     def test_sample_statistics_match_moments(self):
         forms = _random_forms(20, 5)
@@ -365,6 +395,25 @@ class TestSampling:
         noise = rng.standard_normal((int(mask.sum()), 9))
         expected[mask] += sigma[mask, np.newaxis] * noise
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("private", ["all", "partial", "none"])
+    @pytest.mark.parametrize("num_samples", [1, 44, 128])
+    def test_sample_into_matches_allocating_draw(self, private, num_samples):
+        # The sampler draws its private noise in row slabs; it must consume
+        # the stream and combine terms exactly like one whole-block draw.
+        batch = _sampling_batch(private, 37)
+        expected = _allocating_draw(batch, np.random.default_rng(41), num_samples)
+        got = batch.sample(np.random.default_rng(41), num_samples)
+        assert np.array_equal(got, expected)
+        # A slab of 5 rows does not divide the 37 rows, and the output is a
+        # column window of a wider buffer.
+        buffer = np.full((len(batch), num_samples + 3), np.nan)
+        window = buffer[:, 2 : 2 + num_samples]
+        slab = np.empty(5 * num_samples + 1)
+        returned = batch._sample_into(np.random.default_rng(41), window, slab)
+        assert returned is window
+        assert np.array_equal(window, expected)
+        assert np.isnan(buffer[:, :2]).all() and np.isnan(buffer[:, -1]).all()
 
     def test_sample_at_matches_object_evaluation(self):
         forms = _random_forms(23, 4)

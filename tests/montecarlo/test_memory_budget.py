@@ -1,4 +1,7 @@
-"""Memory contract of the multi-source Monte Carlo kernel.
+"""Memory contracts of the Monte Carlo kernels.
+
+Multi-source
+------------
 
 ``simulate_io_delays`` splits each sampled ``(E, chunk)`` block's
 columns across the fold threads, and each thread folds its columns in
@@ -22,6 +25,20 @@ bound is checked on allocated bytes, independently of the allocator and
 the page cache.  A dense ``(V, I, chunk)`` arrival tensor — the
 multi-source kernel before the sliced fold — breaks the bound several
 times over.
+
+Single-source
+-------------
+``simulate_graph_delay`` splits its sample range into one block-aligned
+span per thread, and each thread draws and folds its span chunk by chunk
+over buffers allocated once per call: the ``(E, chunk)`` delays, the
+``(V, chunk)`` arrivals, three ``(max_level_rows, chunk)`` level-scratch
+rows and one noise slab.  Its traced peak is bounded by
+
+    threads * ((E + V + 3 * max_level_rows) * chunk + slab) + slack
+
+with ``chunk`` the per-thread chunk and the same 2 MiB slack.  A fold
+that takes a permuted ``(E, chunk)`` copy of the delays, or a sampler that
+assembles the chunk from separately allocated block draws, breaks it.
 """
 
 import tracemalloc
@@ -30,9 +47,12 @@ import pytest
 
 from repro.liberty import standard_library
 from repro.parallel import threads
+from repro.core.batch import _NOISE_SLAB_FLOATS
 from repro.montecarlo.flat import (
     MC_SAMPLE_BLOCK,
+    _max_level_rows,
     mc_chunk_budget,
+    simulate_graph_delay,
     simulate_io_delays,
 )
 from repro.netlist.iscas85 import iscas85_surrogate
@@ -57,12 +77,10 @@ def mid_size_graph():
     )
 
 
-def _traced_peak(graph, arrays, chunk_size):
+def _traced_peak(graph, arrays, chunk_size, simulate=simulate_io_delays):
     tracemalloc.start()
     try:
-        simulate_io_delays(
-            graph, NUM_SAMPLES, seed=3, chunk_size=chunk_size, arrays=arrays
-        )
+        simulate(graph, NUM_SAMPLES, seed=3, chunk_size=chunk_size, arrays=arrays)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -108,3 +126,30 @@ def test_traced_peak_stays_within_budget(
         bound / 1e6,
     )
 
+
+@pytest.mark.parametrize(
+    "chunk_size, num_threads",
+    [(None, 1), (1024, 1), (None, 2), (1024, 2)],
+    ids=["auto", "chunk-1024", "auto-2-threads", "chunk-1024-2-threads"],
+)
+def test_single_source_traced_peak_stays_within_thread_buffers(
+    mid_size_graph, monkeypatch, chunk_size, num_threads
+):
+    monkeypatch.setattr(threads, "thread_count", lambda: num_threads)
+    monkeypatch.delenv("REPRO_MC_CHUNK_BUDGET", raising=False)
+    arrays = GraphArrays.from_graph(mid_size_graph)
+    # c880 auto-sizes to whole-run chunks, so each thread's chunk is its
+    # span: the run's blocks split evenly over the threads.
+    blocks = -(-NUM_SAMPLES // MC_SAMPLE_BLOCK)
+    chunk = -(-blocks // num_threads) * MC_SAMPLE_BLOCK
+    per_thread = (
+        arrays.edge_mean.shape[0]
+        + arrays.num_vertices
+        + 3 * _max_level_rows(arrays)
+    ) * chunk + _NOISE_SLAB_FLOATS
+    bound = num_threads * per_thread * FLOAT_BYTES + SMALL_SLACK_BYTES
+    peak = _traced_peak(mid_size_graph, arrays, chunk_size, simulate_graph_delay)
+    assert peak <= bound, "traced peak %.1f MB over the %.1f MB bound" % (
+        peak / 1e6,
+        bound / 1e6,
+    )

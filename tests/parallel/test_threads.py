@@ -1,13 +1,14 @@
 """Thread-count parity of the in-process threaded kernels.
 
-:mod:`repro.parallel.threads` spreads the criticality edge chunks and the
-multi-source Monte Carlo fold slices over threads.  Each thread writes
-disjoint slices of the results and nothing is reduced across threads, so
-the results must be ``np.array_equal`` for every thread count — checked
-here by monkeypatching ``thread_count`` to 1, 2 and 3 (more threads than a
-2-CPU host has cores) with a shortened interpreter switch interval.  When
-BLAS cannot be pinned to one thread, criticality must run serially with
-the same values.
+:mod:`repro.parallel.threads` spreads the criticality edge chunks, the
+multi-source Monte Carlo fold slices and the single-source Monte Carlo
+sample spans over threads.  Each thread writes disjoint slices of the
+results and nothing is reduced across threads, so the results must be
+``np.array_equal`` for every thread count — checked here by
+monkeypatching ``thread_count`` to 1, 2 and 3 (more threads than a 2-CPU
+host has cores) with a shortened interpreter switch interval.  When BLAS
+cannot be pinned to one thread, criticality and the single-source Monte
+Carlo must run serially with the same values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 
 from repro.liberty import standard_library
 from repro.model.criticality import edge_criticality_batch
-from repro.montecarlo.flat import simulate_io_delays
+from repro.montecarlo.flat import simulate_graph_delay, simulate_io_delays
 from repro.netlist.iscas85 import iscas85_surrogate
 from repro.parallel import threads
 from repro.placement import place_netlist
@@ -143,6 +144,54 @@ class TestMonteCarloParity:
                 assert np.array_equal(result.valid, reference.valid)
                 assert np.array_equal(result.means, reference.means, equal_nan=True)
                 assert np.array_equal(result.stds, reference.stds, equal_nan=True)
+
+
+class TestSingleSourceParity:
+    @pytest.mark.parametrize("num_samples", [300, 1000])
+    def test_graph_delay_identical_across_thread_counts(
+        self, c880_graph, run_threaded, process_executor, num_samples
+    ):
+        # 300 and 1000 samples end in a partial block; chunk 64 cuts every
+        # block, 130 straddles block boundaries and 1000 spans whole ones.
+        reference = run_threaded(
+            1, simulate_graph_delay, c880_graph, num_samples, seed=9
+        ).samples
+        for count in THREAD_COUNTS:
+            for kwargs in (
+                {},
+                {"chunk_size": 64},
+                {"chunk_size": 130},
+                {"chunk_size": 1000},
+                {"engine": "object"},
+                {"executor": process_executor},
+            ):
+                result = run_threaded(
+                    count, simulate_graph_delay, c880_graph, num_samples,
+                    seed=9, **kwargs
+                )
+                assert np.array_equal(result.samples, reference), (count, kwargs)
+
+    def test_unpinnable_blas_runs_one_span(
+        self, c880_graph, monkeypatch, run_threaded
+    ):
+        reference = run_threaded(
+            1, simulate_graph_delay, c880_graph, 1000, seed=9
+        ).samples
+        monkeypatch.setattr(
+            threads, "_openblas_controls", lambda: (None, None, "no OpenBLAS")
+        )
+        mapped = []
+        map_ordered = threads.map_ordered
+
+        def spy(fn, items):
+            items = list(items)
+            mapped.append(len(items))
+            return map_ordered(fn, items)
+
+        monkeypatch.setattr(threads, "map_ordered", spy)
+        result = run_threaded(2, simulate_graph_delay, c880_graph, 1000, seed=9)
+        assert mapped == [1]
+        assert np.array_equal(result.samples, reference)
 
 
 class TestCriticalityParity:

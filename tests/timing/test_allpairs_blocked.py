@@ -1,10 +1,13 @@
-"""Parity and memory accounting of the blocked all-pairs engine.
+"""Parity and memory accounting of the all-pairs engines.
 
-The blocked engine streams input/output columns in budget-sized blocks
-instead of materializing the full ``(V, I)`` / ``(V, O)`` state tensors.
-Both engines execute the identical fold kernels in the identical order, so
-parity with the dense reference is asserted at 1e-9 (it is in fact
-bitwise on every graph below).
+Both engines run the same levelized column fold: the dense engine over
+all input (output) columns at once, straight into the ``(V, I)`` /
+``(V, O)`` state tensors, the blocked engine in budget-sized column
+blocks without materializing them.  Matrix parity between the two is
+asserted at 1e-9 (it is in fact bitwise on every graph below).  The dense
+tensors are also checked bitwise against the per-vertex Clark merge kept
+here as an oracle: the original dense engine, and the fold order the
+incremental session's dirty-cone recompute still uses.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from repro.netlist.generators import (
     design_for_edge_count,
     layered_random_circuit,
 )
+from repro.core.batch import merge_max_with_validity
 from repro.timing.allpairs import (
     ALLPAIRS_BUDGET_FLOATS,
     AllPairsSession,
@@ -41,6 +45,66 @@ def _assert_matrix_parity(dense, blocked, tolerance=PARITY_TOLERANCE):
         a = getattr(dense, field)
         b = getattr(blocked, field)
         assert np.max(np.abs(a - b), initial=0.0) <= tolerance
+
+
+_TENSORS = ("mean", "corr", "randvar", "valid")
+
+
+def _per_vertex_tensors(graph, backward):
+    """The per-vertex all-pairs pass: ``(mean, corr, randvar, valid)``.
+
+    Each vertex starts from its seed (zero, valid only at its own column)
+    and merges its fanin (fanout) candidates one edge at a time.
+    """
+    arrays = GraphArrays.from_graph(graph)
+    index = arrays.vertex_index
+    names = graph.outputs if backward else graph.inputs
+    shape = (arrays.num_vertices, len(names))
+    mean, randvar = np.zeros(shape), np.zeros(shape)
+    corr = np.zeros(shape + (arrays.num_corr,))
+    valid = np.zeros(shape, dtype=bool)
+    for position, name in enumerate(names):
+        valid[index[name], position] = True
+    order = reversed(arrays.topo_order) if backward else arrays.topo_order
+    for vertex in order:
+        row = index[vertex]
+        edges = graph.fanout_edges(vertex) if backward else graph.fanin_edges(vertex)
+        state = (mean[row], corr[row], randvar[row], valid[row])
+        for edge in edges:
+            edge_row = arrays.edge_rows[edge.edge_id]
+            other = (arrays.edge_sink if backward else arrays.edge_source)[edge_row]
+            state = merge_max_with_validity(
+                *state,
+                mean[other] + arrays.edge_mean[edge_row],
+                corr[other] + arrays.edge_corr[edge_row],
+                randvar[other] + arrays.edge_randvar[edge_row],
+                valid[other],
+            )
+        mean[row], corr[row], randvar[row], valid[row] = state
+    return mean, corr, randvar, valid
+
+
+class TestPerVertexOracle:
+    @pytest.mark.parametrize("which", ["adder", "random"])
+    def test_dense_tensors_match_per_vertex_merge(
+        self, adder_graph, random_graph, which
+    ):
+        graph = adder_graph if which == "adder" else random_graph
+        analysis = AllPairsTiming.analyze(graph, engine="dense")
+        session = AllPairsSession(graph).analysis
+        for group, backward in (("arrival", False), ("to_output", True)):
+            expected = _per_vertex_tensors(graph, backward)
+            for name, tensor in zip(_TENSORS, expected):
+                field = "%s_%s" % (group, name)
+                assert np.array_equal(getattr(analysis, field), tensor), field
+                assert np.array_equal(getattr(session, field), tensor), field
+        output_rows = analysis.arrays.output_rows
+        arrival = _per_vertex_tensors(graph, False)
+        for name, tensor in zip(_TENSORS, arrival):
+            assert np.array_equal(
+                getattr(analysis, "matrix_" + name),
+                np.swapaxes(tensor[output_rows], 0, 1),
+            ), name
 
 
 class TestEngineParity:
